@@ -1,6 +1,7 @@
-//! Ablations on the Galois-field substrate: the split-table `Mult_XOR`
-//! region kernel vs a naive per-byte log/exp loop, and GF(2^8) vs GF(2^16)
-//! region throughput (the word-size effect of §6.2.1).
+//! Ablations on the Galois-field substrate: the dispatched GF(2^8)
+//! `Mult_XOR` region kernel (AVX2 nibble shuffle where the CPU has it, the
+//! scalar split-table loop otherwise) vs a naive per-byte log/exp loop, and
+//! GF(2^8) vs GF(2^16) region throughput (the word-size effect of §6.2.1).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use stair_gf::{BitMatrix8, Field, Gf16, Gf8};
@@ -15,7 +16,7 @@ fn bench_gf_kernels(c: &mut Criterion) {
     let mut dst = vec![0x11u8; len];
     group.throughput(Throughput::Bytes(len as u64));
 
-    group.bench_function("gf8_split_table", |b| {
+    group.bench_function("gf8_dispatched", |b| {
         b.iter(|| Gf8::mult_xor_region(&mut dst, &src, 0x53));
     });
 

@@ -372,6 +372,55 @@ fn journaled_waived_and_test_writes_stay_clean() {
     assert!(r.waivers.iter().any(|w| w.key == "persist-ok"));
 }
 
+// ---- L9 unsafe-confined --------------------------------------------
+
+#[test]
+fn unsafe_outside_its_home_and_undocumented_sites_are_flagged() {
+    let other_bad = fixture("unsafe_other_bad.rs");
+    let r = run_ws(&[
+        ("crates/gf/src/lib.rs", &fixture("unsafe_root_bad.rs")),
+        ("crates/gf/src/simd.rs", &fixture("unsafe_home_bad.rs")),
+        ("crates/store/src/lib.rs", &other_bad),
+        ("crates/store/tests/peek.rs", &other_bad),
+    ]);
+    let hits = of(&r, Lint::UnsafeConfined);
+    assert_eq!(hits.len(), 6, "{hits:?}");
+    // The home crate's root may allow unsafe code on `mod simd` only …
+    assert!(hits
+        .iter()
+        .any(|h| h.starts_with("crates/gf/src/lib.rs:6 ") && h.contains("outside `mod simd`")));
+    // … its `unsafe fn` needs a `# Safety` section and its block a
+    // `// SAFETY:` comment with no blank line in between …
+    assert!(hits
+        .iter()
+        .any(|h| h.starts_with("crates/gf/src/simd.rs:4 ") && h.contains("# Safety")));
+    assert!(hits
+        .iter()
+        .any(|h| h.starts_with("crates/gf/src/simd.rs:12 ") && h.contains("SAFETY:")));
+    // … every other crate root forbids unsafe code …
+    assert!(hits
+        .iter()
+        .any(|h| h.starts_with("crates/store/src/lib.rs:1 ") && h.contains("lacks")));
+    // … and the keyword appears nowhere else, test code included.
+    assert!(hits
+        .iter()
+        .any(|h| h.starts_with("crates/store/src/lib.rs:5 ") && h.contains("outside")));
+    assert!(hits
+        .iter()
+        .any(|h| h.starts_with("crates/store/tests/peek.rs:5 ") && h.contains("outside")));
+    assert_ne!(r.exit_code(), 0);
+}
+
+#[test]
+fn documented_unsafe_in_its_home_is_clean() {
+    let r = run_ws(&[
+        ("crates/gf/src/lib.rs", &fixture("unsafe_root_good.rs")),
+        ("crates/gf/src/simd.rs", &fixture("unsafe_home_good.rs")),
+        ("crates/store/src/lib.rs", &fixture("unsafe_other_good.rs")),
+    ]);
+    assert_eq!(of(&r, Lint::UnsafeConfined), Vec::<String>::new());
+}
+
 // ---- baseline ------------------------------------------------------
 
 #[test]

@@ -5,6 +5,7 @@ use std::sync::OnceLock;
 
 use crate::counters;
 use crate::field::{sealed::Sealed, Field};
+use crate::simd;
 use crate::tables::{build, Tables};
 
 /// Tag type for GF(2^8) with the primitive polynomial `x^8+x^4+x^3+x^2+1`
@@ -109,12 +110,7 @@ impl Field for Gf8 {
         match c {
             0 => {}
             1 => Self::xor_region(dst, src),
-            _ => {
-                let (lo, hi) = split_tables(c);
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d ^= lo[(s & 0x0f) as usize] ^ hi[(s >> 4) as usize];
-                }
-            }
+            _ => region::<true>(dst, src, c),
         }
     }
 
@@ -124,27 +120,51 @@ impl Field for Gf8 {
         match c {
             0 => dst.fill(0),
             1 => dst.copy_from_slice(src),
-            _ => {
-                let (lo, hi) = split_tables(c);
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = lo[(s & 0x0f) as usize] ^ hi[(s >> 4) as usize];
-                }
-            }
+            _ => region::<false>(dst, src, c),
         }
     }
 }
 
-/// Builds the SPLIT(8,4) product tables for a constant `c`: `lo[x] = c·x` and
-/// `hi[x] = c·(x << 4)`, so `c·b = lo[b & 15] ^ hi[b >> 4]` for any byte `b`
-/// by the distributivity of field multiplication over XOR.
-fn split_tables(c: u8) -> ([u8; 16], [u8; 16]) {
-    let mut lo = [0u8; 16];
-    let mut hi = [0u8; 16];
-    for x in 0..16u8 {
-        lo[x as usize] = Gf8::mul(c, x);
-        hi[x as usize] = Gf8::mul(c, x << 4);
+/// `dst ^= c·src` (`XOR`) or `dst = c·src`: the dispatched SIMD kernel
+/// ([`simd::region`]) over whole 32-byte blocks, the scalar split-table loop
+/// over whatever it leaves (all of it without AVX2).
+fn region<const XOR: bool>(dst: &mut [u8], src: &[u8], c: u8) {
+    let (lo, hi) = split_tables(c);
+    let done = simd::region::<XOR>(dst, src, lo, hi);
+    scalar_region::<XOR>(&mut dst[done..], &src[done..], lo, hi);
+}
+
+/// The portable split-table loop over `c`'s tables `lo`/`hi`: the fallback
+/// for CPUs without AVX2, the sub-32-byte tail, and the reference the SIMD
+/// kernel is tested against.
+fn scalar_region<const XOR: bool>(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        let p = lo[(s & 0x0f) as usize] ^ hi[(s >> 4) as usize];
+        *d = if XOR { *d ^ p } else { p };
     }
-    (lo, hi)
+}
+
+/// The `(lo, hi)` nibble product tables of one constant.
+type SplitTables = ([u8; 16], [u8; 16]);
+
+/// The SPLIT(8,4) product tables of a constant `c`: `lo[x] = c·x` and
+/// `hi[x] = c·(x << 4)`, so `c·b = lo[b & 15] ^ hi[b >> 4]` for any byte `b`
+/// by the distributivity of field multiplication over XOR. All 256 pairs
+/// (8 KiB) are built once: building them per call cost about a third of a
+/// 4 KiB `Mult_XOR` once the SIMD kernel made the multiply itself cheap.
+fn split_tables(c: u8) -> &'static SplitTables {
+    static ALL: OnceLock<Box<[SplitTables; 256]>> = OnceLock::new();
+    let all = ALL.get_or_init(|| {
+        let mut all = Box::new([([0u8; 16], [0u8; 16]); 256]);
+        for (c, (lo, hi)) in (0..=255u8).zip(all.iter_mut()) {
+            for x in 0..16u8 {
+                lo[x as usize] = Gf8::mul(c, x);
+                hi[x as usize] = Gf8::mul(c, x << 4);
+            }
+        }
+        all
+    });
+    &all[c as usize]
 }
 
 #[cfg(test)]
@@ -221,6 +241,74 @@ mod tests {
                 *e ^= Gf8::mul(c, s);
             }
             assert_eq!(dst, expect, "c={c}");
+        }
+    }
+
+    /// Deterministic non-constant bytes (an LCG), so every nibble value
+    /// reaches both shuffle tables.
+    fn pattern(len: usize, seed: u32) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                (x >> 16) as u8
+            })
+            .collect()
+    }
+
+    /// Checks both dispatched kernels against the scalar split-table loop
+    /// on `dst`/`src` for constant `c`.
+    fn assert_matches_scalar(dst: &[u8], src: &[u8], c: u8) {
+        let (lo, hi) = split_tables(c);
+        let mut got = dst.to_vec();
+        let mut want = dst.to_vec();
+        Gf8::mult_xor_region(&mut got, src, c);
+        scalar_region::<true>(&mut want, src, lo, hi);
+        assert_eq!(got, want, "mult_xor_region c={c} len={}", src.len());
+        let mut got = dst.to_vec();
+        let mut want = dst.to_vec();
+        Gf8::mult_region(&mut got, src, c);
+        scalar_region::<false>(&mut want, src, lo, hi);
+        assert_eq!(got, want, "mult_region c={c} len={}", src.len());
+    }
+
+    #[test]
+    fn dispatched_kernels_match_scalar_for_every_constant() {
+        let src = pattern(4096 + 31, 1);
+        let dst = pattern(4096 + 31, 2);
+        for c in 0..=255u8 {
+            for len in [0, 1, 31, 32, 33, 64, 4095, 4096, 4096 + 31] {
+                assert_matches_scalar(&dst[..len], &src[..len], c);
+            }
+        }
+    }
+
+    #[test]
+    fn dispatched_kernels_match_scalar_for_every_length() {
+        // 0..=4200 covers every tail length 0..=31 after many whole blocks,
+        // and exactly one 4 KiB sector.
+        let src = pattern(4200, 3);
+        let dst = pattern(4200, 4);
+        for len in 0..=4200 {
+            for c in [0u8, 1, 2, 0x53, 0xe7, 0xff] {
+                assert_matches_scalar(&dst[..len], &src[..len], c);
+            }
+        }
+    }
+
+    #[test]
+    fn dispatched_kernels_match_scalar_on_unaligned_sub_slices() {
+        let src = pattern(4096 + 64, 5);
+        let dst = pattern(4096 + 64, 6);
+        for off in 1..=31 {
+            for len in [31, 32, 100, 4096] {
+                // Different offsets for the two regions, so neither the
+                // loads nor the stores share an alignment.
+                let d = 32 - off;
+                for c in [2u8, 0x1d, 0x8e] {
+                    assert_matches_scalar(&dst[d..d + len], &src[off..off + len], c);
+                }
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! STAIR codes (Li & Lee, FAST '14) perform all coding arithmetic over a
 //! binary extension field GF(2^w). The paper builds on the GF-Complete
-//! library; this crate is a from-scratch portable replacement providing:
+//! library; this crate is a from-scratch replacement providing:
 //!
 //! * single-element arithmetic (add/mul/div/inv/pow) via log/exp tables for
 //!   GF(2^4), GF(2^8), and GF(2^16) — see [`Gf4`], [`Gf8`], [`Gf16`];
@@ -10,7 +10,12 @@
 //!   [`Field::mult_xor_region`], the paper's `Mult_XOR(R1, R2, a)` primitive
 //!   (§5.3): multiply region `R1` by constant `a` and XOR the product into
 //!   `R2`. Region kernels use per-constant split nibble tables, the same
-//!   algorithmic structure as GF-Complete's SPLIT tables;
+//!   algorithmic structure as GF-Complete's SPLIT tables. For GF(2^8) the
+//!   tables drive an AVX2 nibble-shuffle (`PSHUFB`) kernel over 32-byte
+//!   blocks when the CPU has AVX2, detected at run time; the portable scalar
+//!   loop covers the tail, other CPUs and other targets, and is the
+//!   reference the SIMD kernel is tested against. GF(2^4) and GF(2^16) use
+//!   the scalar loop only;
 //! * global [`counters`] tracking how many `Mult_XOR` operations were
 //!   executed, so measured operation counts can be checked against the
 //!   paper's analytical formulas (Eq. 5 and Eq. 6).
@@ -33,7 +38,7 @@
 //! assert!(dst.iter().all(|&x| x == Gf8::value(p) as u8));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bitmatrix;
@@ -42,6 +47,8 @@ mod field;
 mod gf16;
 mod gf4;
 mod gf8;
+#[allow(unsafe_code)]
+mod simd;
 mod tables;
 
 pub use bitmatrix::BitMatrix8;

@@ -72,9 +72,13 @@ impl Journal {
 
     /// Records one completed op.
     pub fn record(&self, kind: &str, shard: u32, bytes: u64, duration: Duration, ok: bool) {
+        let kind = kind.to_string();
+        // Stamp under the ring lock, so ring order is timestamp order even
+        // when writers race; the slow ring is filled under it too.
+        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         let event = TraceEvent {
             t_us: self.start.elapsed().as_micros() as u64,
-            kind: kind.to_string(),
+            kind,
             shard,
             bytes,
             duration_us: duration.as_micros() as u64,
@@ -87,7 +91,6 @@ impl Journal {
             }
             slow.push_back(event.clone());
         }
-        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         if ring.len() == RING_CAP {
             ring.pop_front();
         }

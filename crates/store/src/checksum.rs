@@ -37,11 +37,14 @@ mod tests {
 
     #[test]
     fn stable_for_known_input() {
-        // "abcde" little-endian words: reference value computed once and
-        // pinned to catch accidental algorithm changes.
-        let v = fletcher32(b"abcde");
-        assert_eq!(v, fletcher32(b"abcde"));
-        assert_ne!(v, fletcher32(b"abcdf"));
+        // Known answers, pinned: checksums are stored in sector headers and
+        // sent on the wire, so any rewrite of `fletcher32` must keep them.
+        assert_eq!(fletcher32(b"abcde"), 0xF04F_C729);
+        assert_eq!(fletcher32(b""), 0xFFFF_FFFF);
+        assert_eq!(fletcher32(&[0x5A]), 0x005A_005A);
+        let sector: Vec<u8> = (0..4096u32).map(|i| (i * 29 + 3) as u8).collect();
+        assert_eq!(fletcher32(&sector), 0x90F7_03FC);
+        assert_ne!(fletcher32(b"abcde"), fletcher32(b"abcdf"));
     }
 
     #[test]
