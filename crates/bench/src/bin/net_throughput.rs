@@ -102,7 +102,6 @@ fn main() {
         ServerConfig {
             workers,
             write_batch: 32,
-            ..ServerConfig::default()
         },
     )
     .expect("bind server");

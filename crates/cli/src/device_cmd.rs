@@ -1,5 +1,5 @@
-//! The `stair dev` subcommand family — and the single data path behind
-//! `stair store` and `stair remote`.
+//! The `stair dev` subcommand family — the single data path for every
+//! backend.
 //!
 //! ```text
 //! stair dev status --dev SPEC [--json]
@@ -10,6 +10,7 @@
 //! stair dev scrub  --dev SPEC [--threads T] [--json]
 //! stair dev repair --dev SPEC [--threads T] [--json]
 //! stair dev flush  --dev SPEC
+//! stair dev shutdown --dev tcp:ADDR
 //! ```
 //!
 //! `batch` replays an **op-script** — one op per line, `#` comments and
@@ -29,10 +30,11 @@
 //! is identical across backends.
 //!
 //! `SPEC` is a `stair_device::DeviceSpec`: `file:<dir>`,
-//! `shards:<root>[?n=K]`, or `tcp:<host:port>[?lanes=L]`. The legacy
-//! `stair store …` / `stair remote …` verbs are thin aliases that build
-//! the spec from `--dir` / `--addr` and land here, so every backend
-//! runs the identical code and prints the identical output.
+//! `shards:<root>[?n=K]`, `tcp:<host:port>[?lanes=L]`, or
+//! `cache:<inner>`, so every backend runs the identical code and prints
+//! the identical output. `shutdown` is the one verb that is not a
+//! device operation: it asks a `stair serve` process to exit, so it
+//! takes only a `tcp:` spec.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -56,6 +58,7 @@ pub const DEV_USAGE: &str = "usage:
   stair dev flush  --dev SPEC
   stair dev metrics --dev SPEC [--json] [--from SCRIPT]
   stair dev trace   --dev SPEC [--json] [--from SCRIPT]
+  stair dev shutdown --dev tcp:<host:port>
   (SPEC: file:<dir> | shards:<root>[?n=K] | tcp:<host:port>[?lanes=L]
          | cache:<inner>[?mb=M&wb=on|off&interval_ms=T])
   (SCRIPT lines: `read <offset> <len>` | `write <offset> <hex-bytes>`;
@@ -72,32 +75,20 @@ pub fn run(verb: &str, flags: &Flags) -> Result<(), String> {
         .get("dev")
         .filter(|v| !v.is_empty())
         .ok_or_else(|| format!("--dev is required\n{DEV_USAGE}"))?;
-    let spec = DeviceSpec::from_str(spec).map_err(|e| e.to_string())?;
-    run_with_spec(verb, flags, &spec, "stair dev")
-}
-
-/// Runs one verb against the backend `spec` names. `family` is the
-/// command prefix used in follow-up hints (`"stair store"`,
-/// `"stair remote"`, or `"stair dev"`), so aliases keep suggesting
-/// commands in the caller's own dialect.
-pub fn run_with_spec(
-    verb: &str,
-    flags: &Flags,
-    spec: &DeviceSpec,
-    family: &str,
-) -> Result<(), String> {
+    let spec = &DeviceSpec::from_str(spec).map_err(|e| e.to_string())?;
     match verb {
         "status" => cmd_status(flags, spec),
         "read" => cmd_read(flags, spec),
         "write" => cmd_write(flags, spec),
         "batch" => cmd_batch(flags, spec),
         "fail" => cmd_fail(flags, spec),
-        "scrub" => cmd_scrub(flags, spec, family),
+        "scrub" => cmd_scrub(flags, spec),
         "repair" => cmd_repair(flags, spec),
         "flush" => cmd_flush(spec),
         "metrics" => cmd_metrics(flags, spec),
         "trace" => cmd_trace(flags, spec),
-        _ => Err(format!("unknown {family} command `{verb}`\n{DEV_USAGE}")),
+        "shutdown" => cmd_shutdown(spec),
+        _ => Err(format!("unknown stair dev command `{verb}`\n{DEV_USAGE}")),
     }
 }
 
@@ -372,7 +363,7 @@ fn cmd_fail(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_scrub(flags: &Flags, spec: &DeviceSpec, family: &str) -> Result<(), String> {
+fn cmd_scrub(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
     let dev = open(spec)?;
     let threads = usize_flag(flags, "threads", 4)?;
     let outcome = dev.scrub(threads).map_err(|e| e.to_string())?;
@@ -391,7 +382,7 @@ fn cmd_scrub(flags: &Flags, spec: &DeviceSpec, family: &str) -> Result<(), Strin
     if outcome.clean() {
         println!("device clean");
     } else {
-        println!("run `{family} repair` to reconstruct");
+        println!("run `stair dev repair --dev {spec}` to reconstruct");
     }
     Ok(())
 }
@@ -425,6 +416,21 @@ fn cmd_flush(spec: &DeviceSpec) -> Result<(), String> {
     let dev = open(spec)?;
     dev.flush().map_err(|e| e.to_string())?;
     println!("flushed");
+    Ok(())
+}
+
+/// `stair dev shutdown`: asks the `stair serve` process behind a `tcp:`
+/// spec to stop; the server flushes its shards and exits.
+fn cmd_shutdown(spec: &DeviceSpec) -> Result<(), String> {
+    let DeviceSpec::Tcp { addr, .. } = spec else {
+        return Err(format!(
+            "shutdown needs a tcp:<host:port> spec, got `{spec}`"
+        ));
+    };
+    Client::connect(addr)
+        .and_then(|client| client.shutdown_server())
+        .map_err(|e| e.to_string())?;
+    println!("server shutting down");
     Ok(())
 }
 
@@ -484,8 +490,8 @@ fn cmd_metrics(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
 /// op-script (`--from`, same grammar as `batch`) through an
 /// [`Instrumented`] device so every layer records spans, then prints
 /// this process's flight recorder — plus the server's, pulled over the
-/// TRACE opcode, when `spec` is `tcp:`. Output goes through the same
-/// serializer as `stair remote trace`, so the shapes cannot drift.
+/// TRACE opcode, when `spec` is `tcp:`. Local and server traces go
+/// through one serializer, so their shapes cannot drift.
 fn cmd_trace(flags: &Flags, spec: &DeviceSpec) -> Result<(), String> {
     stair_obs::trace::set_enabled(true);
     let dev = Instrumented::new(open(spec)?);

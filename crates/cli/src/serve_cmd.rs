@@ -61,7 +61,6 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     let config = ServerConfig {
         workers: usize_flag(flags, "workers", 4)?.max(1),
         write_batch: usize_flag(flags, "batch", 32)?.max(1),
-        ..ServerConfig::default()
     };
     let server = Server::bind(addr, set, config).map_err(|e| e.to_string())?;
     let info = server.info();

@@ -1,6 +1,5 @@
-//! The one JSON serializer for device health and maintenance reports —
-//! shared by `stair dev … --json` and the `stair store` /
-//! `stair remote` aliases, so the three surfaces can never drift
+//! The one JSON serializer for device health and maintenance reports
+//! behind every `stair dev … --json`, so backends can never drift
 //! apart: `--dev file:…` and `--dev tcp:…` produce byte-identical
 //! shapes.
 
@@ -10,7 +9,7 @@ use stair_net::{WireSpan, WireTrace};
 use stair_obs::MetricsSnapshot;
 
 /// A metrics snapshot as a JSON object — the serializer `stair dev
-/// metrics` and `stair remote metrics` share with the bench drivers
+/// metrics` shares with the bench drivers
 /// (arrays of uniform objects, so the key shape is identical across
 /// backends whose metric-name sets differ).
 pub fn metrics_json(snap: &MetricsSnapshot) -> Json {
@@ -123,8 +122,8 @@ fn one_trace_json(trace: &WireTrace, origin: &str) -> Json {
     ])
 }
 
-/// Flight-recorder pulls as one JSON object — the serializer
-/// `stair dev trace` and `stair remote trace` share. `local` traces
+/// Flight-recorder pulls as one JSON object, as `stair dev trace`
+/// prints them. `local` traces
 /// come from this process's recorder, `server` traces from a TRACE
 /// pull; each trace is tagged with its origin, and span timestamps are
 /// relative to the *originating* process's recorder epoch (the two

@@ -1,28 +1,16 @@
-//! The `stair store` subcommand family: a CLI frontend for the
-//! [`stair_store::StripeStore`] engine.
+//! The `stair store` subcommand family: the verbs that need a local
+//! [`stair_store::StripeStore`] rather than a `BlockDevice`.
 //!
 //! ```text
-//! stair store init   --dir DIR [--code SPEC] [--symbol S --stripes T]
-//! stair store status --dir DIR [--json]
-//! stair store write  --dir DIR --input FILE [--offset BYTES]
-//! stair store read   --dir DIR --output FILE [--offset BYTES] [--len BYTES]
-//! stair store fail   --dir DIR --device J [--stripe I --sector K --len L]
-//! stair store scrub  --dir DIR [--threads T] [--json]
-//! stair store repair --dir DIR [--threads T] [--json]
-//! stair store flush  --dir DIR
-//! stair store recover --dir DIR [--json]
-//! stair store inject --dir DIR --p-sec P [--seed S] [--burst B1,ALPHA]
+//! stair store init    --dir DIR --code SPEC [--symbol S --stripes T]
+//! stair store recover --dir DIR [--json] [--threads T]
+//! stair store inject  --dir DIR --p-sec P [--seed S] [--burst B1,ALPHA]
 //! ```
 //!
 //! `--code` takes a codec spec (`stair:n,r,m,e1-e2-...`, `sd:n,r,m,s`,
 //! or `rs:n,r,m`), so one store engine benchmarks every code family the
-//! paper compares. The legacy `--n/--r/--m/--e` flags still work and
-//! build a STAIR spec.
-//!
-//! Only `init`, `inject`, and `recover` are store-specific; every
-//! data-path verb is a thin alias for `stair dev … --dev file:DIR` (see
-//! [`crate::device_cmd`]), so the local, sharded, and remote backends
-//! share one implementation.
+//! paper compares. Every data-path verb on a store is
+//! `stair dev … --dev file:DIR` (see [`crate::device_cmd`]).
 //!
 //! `recover` is the operator's post-crash front door: opening the store
 //! replays any journal tail left by an unclean shutdown, then a scrub
@@ -34,7 +22,6 @@ use std::str::FromStr;
 
 use stair_arraysim::FailureInjector;
 use stair_code::CodecSpec;
-use stair_device::DeviceSpec;
 use stair_net::json::Json;
 use stair_reliability::BurstModel;
 use stair_store::{StoreOptions, StripeStore};
@@ -43,18 +30,11 @@ use crate::flags::{dir_flag, u64_flag, usize_flag, Flags};
 
 /// Usage text for the `store` family.
 pub const STORE_USAGE: &str = "usage:
-  stair store init   --dir DIR [--code SPEC] [--symbol S --stripes T]
-                     (SPEC: stair:n,r,m,e1-e2-... | sd:n,r,m,s | rs:n,r,m;
-                      legacy --n N --r R --m M --e E builds a stair spec)
-  stair store status --dir DIR [--json]
-  stair store write  --dir DIR --input FILE [--offset BYTES]
-  stair store read   --dir DIR --output FILE [--offset BYTES] [--len BYTES]
-  stair store fail   --dir DIR --device J [--stripe I --sector K --len L]
-  stair store scrub  --dir DIR [--threads T] [--json]
-  stair store repair --dir DIR [--threads T] [--json]
-  stair store flush  --dir DIR
+  stair store init    --dir DIR --code SPEC [--symbol S --stripes T]
+                      (SPEC: stair:n,r,m,e1-e2-... | sd:n,r,m,s | rs:n,r,m)
   stair store recover --dir DIR [--json] [--threads T]
-  stair store inject --dir DIR --p-sec P [--seed S] [--burst B1,ALPHA]";
+  stair store inject  --dir DIR --p-sec P [--seed S] [--burst B1,ALPHA]
+  (data verbs on a store: stair dev <verb> --dev file:DIR)";
 
 /// Dispatches a `stair store <verb> ...` invocation.
 pub fn run(verb: &str, flags: &Flags) -> Result<(), String> {
@@ -62,12 +42,6 @@ pub fn run(verb: &str, flags: &Flags) -> Result<(), String> {
         "init" => cmd_init(flags),
         "inject" => cmd_inject(flags),
         "recover" => cmd_recover(flags),
-        "status" | "read" | "write" | "fail" | "scrub" | "repair" | "flush" => {
-            let spec = DeviceSpec::File {
-                dir: dir_flag(flags)?,
-            };
-            crate::device_cmd::run_with_spec(verb, flags, &spec, "stair store")
-        }
         _ => Err(format!("unknown store command `{verb}`\n{STORE_USAGE}")),
     }
 }
@@ -76,34 +50,13 @@ fn open(flags: &Flags) -> Result<StripeStore, String> {
     StripeStore::open(&dir_flag(flags)?).map_err(|e| e.to_string())
 }
 
-/// The codec for `init`: `--code SPEC` wins; otherwise the legacy STAIR
-/// flags (`--n/--r/--m/--e`) are assembled into a `stair:` spec.
-fn code_flag(flags: &Flags) -> Result<CodecSpec, String> {
-    if let Some(spec) = flags.get("code") {
-        return CodecSpec::from_str(spec).map_err(|e| e.to_string());
-    }
-    let e = match flags.get("e") {
-        None => vec![1, 2],
-        Some(v) => v
-            .split(',')
-            .map(|x| {
-                x.trim()
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad e entry `{x}`"))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    Ok(CodecSpec::Stair {
-        n: usize_flag(flags, "n", 8)?,
-        r: usize_flag(flags, "r", 16)?,
-        m: usize_flag(flags, "m", 2)?,
-        e,
-    })
-}
-
 fn cmd_init(flags: &Flags) -> Result<(), String> {
+    let code = flags
+        .get("code")
+        .filter(|v| !v.is_empty())
+        .ok_or_else(|| format!("--code is required\n{STORE_USAGE}"))?;
     let opts = StoreOptions {
-        code: code_flag(flags)?,
+        code: CodecSpec::from_str(code).map_err(|e| e.to_string())?,
         symbol: usize_flag(flags, "symbol", 512)?,
         stripes: usize_flag(flags, "stripes", 64)?,
     };
@@ -125,7 +78,7 @@ fn cmd_init(flags: &Flags) -> Result<(), String> {
 /// `stair store recover`: open (replaying any journal tail a crash
 /// left), scrub every sector, and close cleanly (checkpointing the
 /// journal). Exits non-zero when the scrub still finds damage — then
-/// the journal alone was not enough and `stair store repair` is needed.
+/// the journal alone was not enough and `stair dev repair` is needed.
 fn cmd_recover(flags: &Flags) -> Result<(), String> {
     let store = open(flags)?;
     let status = store.status();
@@ -178,7 +131,10 @@ fn cmd_recover(flags: &Flags) -> Result<(), String> {
         }
         Ok(())
     } else {
-        Err("scrub found damage the journal could not cover: run `stair store repair`".into())
+        Err(format!(
+            "scrub found damage the journal could not cover: run `stair dev repair --dev file:{}`",
+            dir_flag(flags)?.display()
+        ))
     }
 }
 

@@ -122,7 +122,7 @@ fn dev_cli_runs_identical_sessions_on_file_and_tcp_backends() {
     assert!(!ok, "{out}");
     assert!(out.contains("--shard is required"), "{out}");
 
-    let (ok, _) = run(&["remote", "shutdown", "--addr", &addr]);
+    let (ok, _) = run(&["dev", "shutdown", "--dev", &format!("tcp:{addr}")]);
     assert!(ok);
     assert!(server.wait().expect("server wait").success());
 
@@ -243,7 +243,7 @@ fn dev_batch_replays_the_same_op_script_on_file_and_tcp() {
         std::fs::read(&tcp_out).unwrap()
     );
 
-    let (ok, _) = run(&["remote", "shutdown", "--addr", &addr]);
+    let (ok, _) = run(&["dev", "shutdown", "--dev", &format!("tcp:{addr}")]);
     assert!(ok);
     assert!(server.wait().expect("server wait").success());
 
@@ -288,6 +288,12 @@ fn dev_cli_rejects_bad_specs_cleanly() {
     let (ok, out) = run(&["dev", "munge", "--dev", "file:/tmp"]);
     assert!(!ok);
     assert!(out.contains("unknown stair dev command"), "{out}");
+
+    // shutdown is a server verb: any non-tcp spec is a clean error.
+    let (ok, out) = run(&["dev", "shutdown", "--dev", "file:/tmp"]);
+    assert!(!ok);
+    assert!(out.contains("shutdown needs a tcp:"), "{out}");
+    assert!(!out.contains("panicked"), "{out}");
 
     // A spec that parses but points nowhere is a clean open error.
     let (ok, out) = run(&["dev", "status", "--dev", "file:/definitely/not/a/store"]);

@@ -125,7 +125,7 @@ fn dev_metrics_reports_one_json_shape_across_all_backends() {
     let root = work.join("net-root");
     let (mut server, addr) = spawn_server(root.to_str().unwrap(), &[]);
     let tcp_doc = metrics(&format!("tcp:{addr}"), &script);
-    let (ok, _) = run(&["remote", "shutdown", "--addr", &addr]);
+    let (ok, _) = run(&["dev", "shutdown", "--dev", &format!("tcp:{addr}")]);
     assert!(ok);
     assert!(server.wait().expect("server wait").success());
 

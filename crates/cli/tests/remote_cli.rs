@@ -1,8 +1,8 @@
-//! End-to-end test of the `stair serve` / `stair remote` CLI surface:
-//! a real server child process on a loopback port driven by real client
-//! invocations, plus the clean-failure paths (busy port, bad root,
-//! unreachable server) that must exit with an error message, never a
-//! panic.
+//! End-to-end test of `stair serve` driven by `stair dev … --dev
+//! tcp:ADDR`: a real server child process on a loopback port driven by
+//! real client invocations, plus the clean-failure paths (busy port,
+//! bad root, unreachable server) that must exit with an error message,
+//! never a panic.
 
 mod common;
 
@@ -15,6 +15,7 @@ fn serve_remote_session_round_trips_degraded_data() {
     std::fs::create_dir_all(&work).unwrap();
     let root = work.join("net-root");
     let (mut server, addr) = spawn_server(root.to_str().unwrap(), &[]);
+    let tcp = format!("tcp:{addr}");
 
     // capacity = 2 shards × 8 stripes × 20 blocks × 128 bytes.
     let capacity = 2 * 8 * 20 * 128usize;
@@ -23,10 +24,10 @@ fn serve_remote_session_round_trips_degraded_data() {
     std::fs::write(&input, &payload).unwrap();
 
     let (ok, out) = run(&[
-        "remote",
+        "dev",
         "write",
-        "--addr",
-        &addr,
+        "--dev",
+        &tcp,
         "--input",
         input.to_str().unwrap(),
     ]);
@@ -36,10 +37,10 @@ fn serve_remote_session_round_trips_degraded_data() {
     // Clean read round-trips.
     let output = work.join("out.bin");
     let (ok, out) = run(&[
-        "remote",
+        "dev",
         "read",
-        "--addr",
-        &addr,
+        "--dev",
+        &tcp,
         "--output",
         output.to_str().unwrap(),
     ]);
@@ -49,19 +50,19 @@ fn serve_remote_session_round_trips_degraded_data() {
     // Fail a device on shard 1 and corrupt a burst on shard 0; the
     // degraded read must still return the exact payload.
     let (ok, out) = run(&[
-        "remote", "fail", "--addr", &addr, "--shard", "1", "--device", "3",
+        "dev", "fail", "--dev", &tcp, "--shard", "1", "--device", "3",
     ]);
     assert!(ok, "{out}");
     let (ok, out) = run(&[
-        "remote", "fail", "--addr", &addr, "--shard", "0", "--device", "5", "--stripe", "2",
-        "--sector", "1", "--len", "2",
+        "dev", "fail", "--dev", &tcp, "--shard", "0", "--device", "5", "--stripe", "2", "--sector",
+        "1", "--len", "2",
     ]);
     assert!(ok, "{out}");
     let (ok, out) = run(&[
-        "remote",
+        "dev",
         "read",
-        "--addr",
-        &addr,
+        "--dev",
+        &tcp,
         "--output",
         output.to_str().unwrap(),
     ]);
@@ -69,34 +70,37 @@ fn serve_remote_session_round_trips_degraded_data() {
     assert_eq!(std::fs::read(&output).unwrap(), payload, "degraded read");
 
     // Status (human + JSON) reflects the failure.
-    let (ok, out) = run(&["remote", "status", "--addr", &addr]);
+    let (ok, out) = run(&["dev", "status", "--dev", &tcp]);
     assert!(ok, "{out}");
     assert!(out.contains("shard 1: failed [3]"), "{out}");
-    let (ok, json) = run(&["remote", "status", "--addr", &addr, "--json"]);
+    let (ok, json) = run(&["dev", "status", "--dev", &tcp, "--json"]);
     assert!(ok, "{json}");
     assert!(json.trim_start().starts_with('{'), "{json}");
     assert!(json.contains("\"failed_devices\":[3]"), "{json}");
     assert!(json.contains("\"healthy\":false"), "{json}");
 
     // Scrub flags the burst, repair heals everything, scrub then clean.
-    let (ok, out) = run(&["remote", "scrub", "--addr", &addr]);
+    let (ok, out) = run(&["dev", "scrub", "--dev", &tcp]);
     assert!(ok, "{out}");
-    assert!(out.contains("run `stair remote repair`"), "{out}");
-    let (ok, out) = run(&["remote", "repair", "--addr", &addr]);
+    assert!(
+        out.contains(&format!("run `stair dev repair --dev {tcp}`")),
+        "{out}"
+    );
+    let (ok, out) = run(&["dev", "repair", "--dev", &tcp]);
     assert!(ok, "{out}");
     assert!(out.contains("repair complete"), "{out}");
-    let (ok, out) = run(&["remote", "scrub", "--addr", &addr]);
+    let (ok, out) = run(&["dev", "scrub", "--dev", &tcp]);
     assert!(ok, "{out}");
     assert!(out.contains("device clean"), "{out}");
 
-    let (ok, json) = run(&["remote", "status", "--addr", &addr, "--json"]);
+    let (ok, json) = run(&["dev", "status", "--dev", &tcp, "--json"]);
     assert!(ok, "{json}");
     assert!(json.contains("\"healthy\":true"), "{json}");
 
     // Flush, then clean shutdown: the child must exit successfully.
-    let (ok, out) = run(&["remote", "flush", "--addr", &addr]);
+    let (ok, out) = run(&["dev", "flush", "--dev", &tcp]);
     assert!(ok, "{out}");
-    let (ok, out) = run(&["remote", "shutdown", "--addr", &addr]);
+    let (ok, out) = run(&["dev", "shutdown", "--dev", &tcp]);
     assert!(ok, "{out}");
     let status = server.wait().expect("server wait");
     assert!(status.success(), "server exit: {status:?}");
@@ -104,17 +108,18 @@ fn serve_remote_session_round_trips_degraded_data() {
     // The shards persisted: a second server over the same root serves
     // the same bytes.
     let (mut server, addr) = spawn_server(root.to_str().unwrap(), &[]);
+    let tcp = format!("tcp:{addr}");
     let (ok, out) = run(&[
-        "remote",
+        "dev",
         "read",
-        "--addr",
-        &addr,
+        "--dev",
+        &tcp,
         "--output",
         output.to_str().unwrap(),
     ]);
     assert!(ok, "{out}");
     assert_eq!(std::fs::read(&output).unwrap(), payload, "after restart");
-    let (ok, _) = run(&["remote", "shutdown", "--addr", &addr]);
+    let (ok, _) = run(&["dev", "shutdown", "--dev", &tcp]);
     assert!(ok);
     assert!(server.wait().expect("wait").success());
 
@@ -143,10 +148,10 @@ fn store_and_remote_status_json_share_one_shape() {
     ]);
     assert!(ok, "{out}");
     let (ok, local) = run(&[
-        "store",
+        "dev",
         "status",
-        "--dir",
-        store_dir.to_str().unwrap(),
+        "--dev",
+        &format!("file:{}", store_dir.display()),
         "--json",
     ]);
     assert!(ok, "{local}");
@@ -154,9 +159,10 @@ fn store_and_remote_status_json_share_one_shape() {
     // …and a served shard set of the same shape.
     let root = work.join("net-root");
     let (mut server, addr) = spawn_server(root.to_str().unwrap(), &[]);
-    let (ok, remote) = run(&["remote", "status", "--addr", &addr, "--json"]);
+    let tcp = format!("tcp:{addr}");
+    let (ok, remote) = run(&["dev", "status", "--dev", &tcp, "--json"]);
     assert!(ok, "{remote}");
-    let (ok, _) = run(&["remote", "shutdown", "--addr", &addr]);
+    let (ok, _) = run(&["dev", "shutdown", "--dev", &tcp]);
     assert!(ok);
     assert!(server.wait().expect("wait").success());
 
@@ -251,7 +257,8 @@ fn serve_refuses_bad_roots_with_clean_errors() {
     // Root holds shards but the count disagrees.
     let root = work.join("root");
     let (mut server, addr) = spawn_server(root.to_str().unwrap(), &[]);
-    let (ok, _) = run(&["remote", "shutdown", "--addr", &addr]);
+    let tcp = format!("tcp:{addr}");
+    let (ok, _) = run(&["dev", "shutdown", "--dev", &tcp]);
     assert!(ok);
     assert!(server.wait().expect("wait").success());
     let (ok, out) = run(&[
@@ -300,7 +307,7 @@ fn serve_refuses_bad_roots_with_clean_errors() {
 fn remote_against_no_server_is_a_clean_error() {
     // Port 9 (discard) on localhost is almost certainly closed; if an
     // OS quirk makes connect hang, the test harness timeout covers us.
-    let (ok, out) = run(&["remote", "status", "--addr", "127.0.0.1:9"]);
+    let (ok, out) = run(&["dev", "status", "--dev", "tcp:127.0.0.1:9"]);
     assert!(!ok);
     assert!(
         out.contains("error:") && out.contains("cannot connect"),
@@ -308,10 +315,16 @@ fn remote_against_no_server_is_a_clean_error() {
     );
     assert!(!out.contains("panicked"), "{out}");
 
-    let (ok, out) = run(&["remote", "bogus", "--addr", "127.0.0.1:9"]);
+    let (ok, out) = run(&["dev", "shutdown", "--dev", "tcp:127.0.0.1:9"]);
     assert!(!ok);
-    // Connection is attempted first; either failure is fine as long as
-    // it is clean.
+    assert!(
+        out.contains("error:") && out.contains("cannot connect"),
+        "{out}"
+    );
+    assert!(!out.contains("panicked"), "{out}");
+
+    let (ok, out) = run(&["dev", "bogus", "--dev", "tcp:127.0.0.1:9"]);
+    assert!(!ok);
     assert!(out.contains("error:"), "{out}");
     assert!(!out.contains("panicked"), "{out}");
 }

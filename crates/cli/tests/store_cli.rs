@@ -1,6 +1,7 @@
-//! End-to-end test of the `stair store` CLI surface: init → write →
-//! fail a device + inject a sector burst → degraded read returns the
-//! original data → repair → scrub reports clean.
+//! End-to-end test of a local store through the CLI: `stair store
+//! init`, then `stair dev … --dev file:DIR` for write → fail a device +
+//! inject a sector burst → degraded read returns the original data →
+//! repair → scrub reports clean; plus `stair store inject`.
 
 mod common;
 
@@ -13,6 +14,7 @@ fn store_cli_session() {
     std::fs::create_dir_all(&work).unwrap();
     let dir = work.join("store");
     let dir_s = dir.to_str().unwrap();
+    let dev = &format!("file:{dir_s}");
 
     // init with the paper's running-example geometry, small sectors.
     let (ok, out) = run(&[
@@ -20,14 +22,8 @@ fn store_cli_session() {
         "init",
         "--dir",
         dir_s,
-        "--n",
-        "8",
-        "--r",
-        "4",
-        "--m",
-        "2",
-        "--e",
-        "1,1,2",
+        "--code",
+        "stair:8,4,2,1-1-2",
         "--symbol",
         "128",
         "--stripes",
@@ -42,10 +38,10 @@ fn store_cli_session() {
     let input = work.join("input.bin");
     std::fs::write(&input, &payload).unwrap();
     let (ok, out) = run(&[
-        "store",
+        "dev",
         "write",
-        "--dir",
-        dir_s,
+        "--dev",
+        dev,
         "--input",
         input.to_str().unwrap(),
     ]);
@@ -53,11 +49,11 @@ fn store_cli_session() {
     assert!(out.contains("full re-encodes"), "{out}");
 
     // kill two devices (m = 2) and corrupt a 2-sector burst in a third.
-    assert!(run(&["store", "fail", "--dir", dir_s, "--device", "2"]).0);
-    assert!(run(&["store", "fail", "--dir", dir_s, "--device", "5"]).0);
+    assert!(run(&["dev", "fail", "--dev", dev, "--device", "2"]).0);
+    assert!(run(&["dev", "fail", "--dev", dev, "--device", "5"]).0);
     assert!(
         run(&[
-            "store", "fail", "--dir", dir_s, "--device", "7", "--stripe", "3", "--sector", "1",
+            "dev", "fail", "--dev", dev, "--device", "7", "--stripe", "3", "--sector", "1",
             "--len", "2",
         ])
         .0
@@ -66,10 +62,10 @@ fn store_cli_session() {
     // degraded read returns the original bytes.
     let extracted = work.join("degraded.bin");
     let (ok, out) = run(&[
-        "store",
+        "dev",
         "read",
-        "--dir",
-        dir_s,
+        "--dev",
+        dev,
         "--output",
         extracted.to_str().unwrap(),
     ]);
@@ -78,22 +74,22 @@ fn store_cli_session() {
     assert_eq!(std::fs::read(&extracted).unwrap(), payload);
 
     // scrub detects the burst; repair reconstructs everything.
-    let (ok, out) = run(&["store", "scrub", "--dir", dir_s]);
+    let (ok, out) = run(&["dev", "scrub", "--dev", dev]);
     assert!(ok, "{out}");
     assert!(out.contains("2 mismatches"), "{out}");
-    let (ok, out) = run(&["store", "repair", "--dir", dir_s]);
+    let (ok, out) = run(&["dev", "repair", "--dev", dev]);
     assert!(ok, "{out}");
     assert!(out.contains("repair complete"), "{out}");
 
     // post-repair: scrub clean, reads clean and identical.
-    let (ok, out) = run(&["store", "scrub", "--dir", dir_s]);
+    let (ok, out) = run(&["dev", "scrub", "--dev", dev]);
     assert!(ok && out.contains("device clean"), "{out}");
     let final_out = work.join("final.bin");
     let (ok, out) = run(&[
-        "store",
+        "dev",
         "read",
-        "--dir",
-        dir_s,
+        "--dev",
+        dev,
         "--output",
         final_out.to_str().unwrap(),
     ]);
@@ -104,10 +100,10 @@ fn store_cli_session() {
     let patch = work.join("patch.bin");
     std::fs::write(&patch, vec![0xEEu8; 100]).unwrap();
     let (ok, out) = run(&[
-        "store",
+        "dev",
         "write",
-        "--dir",
-        dir_s,
+        "--dev",
+        dev,
         "--input",
         patch.to_str().unwrap(),
         "--offset",
@@ -117,7 +113,7 @@ fn store_cli_session() {
     assert!(out.contains("delta updates"), "{out}");
 
     // status reflects a healthy store.
-    let (ok, out) = run(&["store", "status", "--dir", dir_s]);
+    let (ok, out) = run(&["dev", "status", "--dev", dev]);
     assert!(ok, "{out}");
     assert!(out.contains("failed devices    : []"), "{out}");
 
@@ -134,6 +130,7 @@ fn store_cli_sd_backed_session() {
     std::fs::create_dir_all(&work).unwrap();
     let dir = work.join("store");
     let dir_s = dir.to_str().unwrap();
+    let dev = &format!("file:{dir_s}");
 
     let (ok, out) = run(&[
         "store",
@@ -156,20 +153,20 @@ fn store_cli_sd_backed_session() {
     let input = work.join("input.bin");
     std::fs::write(&input, &payload).unwrap();
     let (ok, out) = run(&[
-        "store",
+        "dev",
         "write",
-        "--dir",
-        dir_s,
+        "--dev",
+        dev,
         "--input",
         input.to_str().unwrap(),
     ]);
     assert!(ok, "{out}");
 
     // m = 1 device down plus a 2-sector burst (s = 2) elsewhere.
-    assert!(run(&["store", "fail", "--dir", dir_s, "--device", "5"]).0);
+    assert!(run(&["dev", "fail", "--dev", dev, "--device", "5"]).0);
     assert!(
         run(&[
-            "store", "fail", "--dir", dir_s, "--device", "1", "--stripe", "2", "--sector", "1",
+            "dev", "fail", "--dev", dev, "--device", "1", "--stripe", "2", "--sector", "1",
             "--len", "2",
         ])
         .0
@@ -177,22 +174,22 @@ fn store_cli_sd_backed_session() {
 
     let extracted = work.join("degraded.bin");
     let (ok, out) = run(&[
-        "store",
+        "dev",
         "read",
-        "--dir",
-        dir_s,
+        "--dev",
+        dev,
         "--output",
         extracted.to_str().unwrap(),
     ]);
     assert!(ok, "{out}");
     assert_eq!(std::fs::read(&extracted).unwrap(), payload);
 
-    let (ok, out) = run(&["store", "repair", "--dir", dir_s]);
+    let (ok, out) = run(&["dev", "repair", "--dev", dev]);
     assert!(ok && out.contains("repair complete"), "{out}");
-    let (ok, out) = run(&["store", "scrub", "--dir", dir_s]);
+    let (ok, out) = run(&["dev", "scrub", "--dev", dev]);
     assert!(ok && out.contains("device clean"), "{out}");
 
-    let (ok, out) = run(&["store", "status", "--dir", dir_s]);
+    let (ok, out) = run(&["dev", "status", "--dev", dev]);
     assert!(ok, "{out}");
     assert!(out.contains("codec sd:6,4,1,2"), "{out}");
     assert!(out.contains("1 device(s) + 2 sector(s)"), "{out}");
@@ -206,20 +203,15 @@ fn store_cli_inject_detect_repair() {
     std::fs::create_dir_all(&work).unwrap();
     let dir = work.join("store");
     let dir_s = dir.to_str().unwrap();
+    let dev = &format!("file:{dir_s}");
 
     let (ok, out) = run(&[
         "store",
         "init",
         "--dir",
         dir_s,
-        "--n",
-        "8",
-        "--r",
-        "8",
-        "--m",
-        "2",
-        "--e",
-        "2,2",
+        "--code",
+        "stair:8,8,2,2-2",
         "--symbol",
         "64",
         "--stripes",
@@ -234,11 +226,11 @@ fn store_cli_inject_detect_repair() {
     assert!(ok, "{out}");
     assert!(out.contains("sampled 64 chunks"), "{out}");
 
-    let (ok, _) = run(&["store", "scrub", "--dir", dir_s]);
+    let (ok, _) = run(&["dev", "scrub", "--dev", dev]);
     assert!(ok);
-    let (ok, out) = run(&["store", "repair", "--dir", dir_s]);
+    let (ok, out) = run(&["dev", "repair", "--dev", dev]);
     assert!(ok, "{out}");
-    let (ok, out) = run(&["store", "scrub", "--dir", dir_s]);
+    let (ok, out) = run(&["dev", "scrub", "--dev", dev]);
     assert!(ok && out.contains("device clean"), "{out}");
     std::fs::remove_dir_all(&work).unwrap();
 }

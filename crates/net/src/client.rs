@@ -17,11 +17,13 @@
 //!
 //! **Resilience**: a broken connection is not a dead client. Any call
 //! that hits a transport error drops the connection and the next call
-//! redials transparently; *idempotent* requests (reads, status, flush,
-//! scrub, repair, read-only batches) additionally retry once after
-//! reconnecting, so a server restart or dropped socket between ops is
-//! invisible to read-path callers. Writes and fault injection never
-//! auto-retry: the caller decides whether to reissue them.
+//! redials transparently; reads, status, flush, scrub, repair and
+//! batches additionally retry once after reconnecting, so a server
+//! restart or dropped socket between ops is invisible to those callers
+//! (a batch is reissued under its batch id, and the server journals
+//! absolute post-images, so redelivery is safe). Plain writes and fault
+//! injection never auto-retry: the caller decides whether to reissue
+//! them.
 //!
 //! The connection lives behind a [`Mutex`], so every method takes
 //! `&self` and a `Client` is `Send + Sync` — usable behind
@@ -38,64 +40,38 @@ use std::sync::{Mutex, MutexGuard};
 use stair_code::CodecSpec;
 use stair_device::{seed_results, BatchResult, IoBatch, IoOp, OpResult};
 use stair_obs::trace::{self, names};
-use stair_obs::SpanCtx;
 use stair_store::StoreStatus;
 
 use crate::device_impl::write_outcome;
 use crate::protocol::{
-    ok_or_remote, read_response_v, write_request_traced_v, BatchReply, RepairSummary, Request,
-    Response, ScrubSummary, ServerInfo, WireShardStatus, WireTrace, WriteSummary,
-    JOURNAL_SINCE_VERSION, MAX_BATCH_OPS, MAX_IO_BYTES, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    ok_or_remote, read_response, write_request, write_request_traced, BatchReply, RepairSummary,
+    Request, Response, ScrubSummary, ServerInfo, WireShardStatus, WireTrace, WriteSummary,
+    MAX_BATCH_OPS, MAX_IO_BYTES, PROTOCOL_VERSION,
 };
 use crate::NetError;
 
 /// Chunk requests in flight per connection during pipelined transfers.
 const PIPELINE_WINDOW: usize = 8;
 
-/// Protocol version that introduced trace-flagged frames.
-const TRACE_SINCE_VERSION: u32 = 3;
-
 /// Stitch-back map: per sub-op, `(global op index, byte offset of the
 /// fragment within that op's span)`.
 type StitchMap = Vec<(usize, usize)>;
-
-/// What a frame op looked like, for response validation after the op
-/// itself has moved into the request: `(is_write, byte length)`.
-type OpSpec = (bool, usize);
-
-/// Everything needed to fold one frame's response back into the
-/// batch's result slots: the stitch map plus the per-op specs.
-type FrameMeta = (StitchMap, Vec<OpSpec>);
 
 /// The mutable half of a client: the stream plus the request-ID
 /// counter, locked together for the duration of a call or transfer.
 struct Conn {
     stream: TcpStream,
     next_id: u64,
-    /// Protocol version agreed at HELLO; trace context is only sent to
-    /// peers that negotiated ≥ [`TRACE_SINCE_VERSION`].
-    version: u32,
 }
 
 impl Conn {
-    /// The span context to stamp on outgoing frames: the caller's
-    /// current span, if any, and only toward a trace-aware peer.
-    fn trace_ctx(&self) -> Option<SpanCtx> {
-        if self.version >= TRACE_SINCE_VERSION {
-            trace::current()
-        } else {
-            None
-        }
-    }
-
     /// One request, one response (server errors become
     /// [`NetError::Remote`]).
     fn call(&mut self, req: &Request) -> Result<Response, NetError> {
         let id = self.next_id;
         self.next_id += 1;
-        let ctx = self.trace_ctx();
-        write_request_traced_v(&mut self.stream, id, req, ctx, self.version)?;
-        let (rid, resp) = read_response_v(&mut self.stream, self.version)?;
+        write_request_traced(&mut self.stream, id, req, trace::current())?;
+        let (rid, resp) = read_response(&mut self.stream)?;
         if rid != id {
             return Err(NetError::Protocol(format!(
                 "response for request {rid} while awaiting {id}"
@@ -121,8 +97,7 @@ impl Conn {
             while next < count && pending.len() < PIPELINE_WINDOW && first_err.is_none() {
                 let id = self.next_id;
                 self.next_id += 1;
-                let ctx = self.trace_ctx();
-                match write_request_traced_v(&mut self.stream, id, &make(next), ctx, self.version) {
+                match write_request_traced(&mut self.stream, id, &make(next), trace::current()) {
                     Ok(()) => {
                         pending.insert(id, next);
                         next += 1;
@@ -136,7 +111,7 @@ impl Conn {
             if pending.is_empty() {
                 break;
             }
-            let (rid, resp) = match read_response_v(&mut self.stream, self.version) {
+            let (rid, resp) = match read_response(&mut self.stream) {
                 Ok(x) => x,
                 // The stream is broken; outstanding responses are lost.
                 Err(e) => return Err(first_err.unwrap_or(e)),
@@ -161,36 +136,22 @@ pub struct Client {
     addr: String,
     conn: Mutex<Option<Conn>>,
     info: ServerInfo,
-    /// Highest protocol version this client offers at HELLO (redials
-    /// re-offer the same, so the negotiated version is stable).
-    max_version: u32,
 }
 
 impl Client {
-    /// Connects and performs the HELLO handshake. The agreed protocol
-    /// version (`min` of both sides) is in [`Client::info`]; trace
-    /// context is only sent when it is ≥ 3.
+    /// Connects and performs the HELLO handshake; the server's
+    /// announcement is in [`Client::info`].
     ///
     /// # Errors
     ///
-    /// Connection failures, version mismatches, and protocol errors.
+    /// Connection failures, version mismatches ([`NetError::Version`]),
+    /// and protocol errors.
     pub fn connect(addr: &str) -> Result<Self, NetError> {
-        Self::connect_with_version(addr, PROTOCOL_VERSION)
-    }
-
-    /// Connects offering at most `max_version` at HELLO — how a test
-    /// impersonates an older (e.g. v2, pre-tracing) client.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, version mismatches, and protocol errors.
-    pub fn connect_with_version(addr: &str, max_version: u32) -> Result<Self, NetError> {
-        let (conn, info) = dial(addr, max_version)?;
+        let (conn, info) = dial(addr)?;
         Ok(Client {
             addr: addr.to_string(),
             conn: Mutex::new(Some(conn)),
             info,
-            max_version,
         })
     }
 
@@ -236,7 +197,7 @@ impl Client {
         let mut slot = self.slot();
         for attempt in 0..2 {
             if slot.is_none() {
-                let (conn, info) = dial(&self.addr, self.max_version)?;
+                let (conn, info) = dial(&self.addr)?;
                 if info.capacity != self.info.capacity || info.block_size != self.info.block_size {
                     return Err(NetError::Protocol(format!(
                         "server at {} changed shape across reconnect ({} bytes / {}-byte blocks, was {} / {})",
@@ -354,15 +315,13 @@ impl Client {
     /// frame (several frames only past the per-request caps), so N
     /// small ops cost one round trip instead of N.
     ///
-    /// **Retry semantics.** Read-only batches are idempotent and retry
-    /// once over a fresh connection. On a session that negotiated
-    /// protocol ≥ 4, batches containing writes retry too: each frame
-    /// carries a client-chosen batch id that is *reissued unchanged*
-    /// on the retry, and re-applying the writes is safe because ops
-    /// are absolute post-images and the server's stores journal them
-    /// (a frame that half-landed before the socket died is completed
-    /// or repeated, never torn). On an older session, write batches
-    /// surface transport errors to the caller as before.
+    /// **Retry semantics.** Every batch retries once over a fresh
+    /// connection after a transport error. Each frame carries a
+    /// client-chosen batch id that is *reissued unchanged* on the
+    /// retry, and re-applying writes is safe because ops are absolute
+    /// post-images and the server's stores journal them (a frame that
+    /// half-landed before the socket died is completed or repeated,
+    /// never torn).
     ///
     /// # Errors
     ///
@@ -376,50 +335,30 @@ impl Client {
         if frames.is_empty() {
             return Ok(BatchResult::from_results(results));
         }
-        let read_only = batch.ops().iter().all(|op| !op.is_write());
-        // The negotiated version is stable across redials (dial
-        // re-offers the same max), so the initial HELLO's answer
-        // decides retryability for the connection's whole life.
-        let journaled_peer = self.info.version >= JOURNAL_SINCE_VERSION;
-        let retryable = read_only || journaled_peer;
         // Conflicting ops must take effect in submission order. Within
         // one frame the server guarantees it (one submit call); across
         // frames the worker pool may execute pipelined requests out of
         // order, so a conflicted multi-frame batch serializes: each
         // frame completes before the next is sent.
         let ordered = frames.len() > 1 && batch.has_conflicts();
-        // Split each frame into its payload and the metadata needed to
-        // fold the response back. Retryable frames may be resent over a
-        // fresh connection, so their payloads are cloned per send;
-        // non-retryable write payloads *move* into requests (the second
-        // copy would be pure waste). Each frame's batch id is minted
-        // once, before any send, so a retry reissues the same id.
-        let (metas, mut payloads): (Vec<FrameMeta>, Vec<Vec<IoOp>>) = frames
-            .into_iter()
-            .map(|f| ((f.map, f.specs), f.ops))
-            .unzip();
-        let batch_ids: Vec<u64> = payloads
-            .iter()
-            .map(|_| if journaled_peer { next_batch_id() } else { 0 })
-            .collect();
-        self.with_conn(retryable, |conn| {
+        // A frame may be resent over a fresh connection, so its ops are
+        // cloned per send; its batch id is minted once, before any
+        // send, so a retry reissues it.
+        let batch_ids: Vec<u64> = frames.iter().map(|_| next_batch_id()).collect();
+        self.with_conn(true, |conn| {
             let mut request = |i: usize| Request::Batch {
                 batch_id: batch_ids[i],
-                ops: if retryable {
-                    payloads[i].clone()
-                } else {
-                    std::mem::take(&mut payloads[i])
-                },
+                ops: frames[i].ops.clone(),
             };
             if ordered {
-                for (i, meta) in metas.iter().enumerate() {
+                for (i, frame) in frames.iter().enumerate() {
                     let resp = conn.call(&request(i))?;
-                    apply_batch_response(meta, resp, &mut results)?;
+                    apply_batch_response(frame, resp, &mut results)?;
                 }
                 Ok(())
             } else {
-                conn.pipelined(metas.len(), &mut request, |i, resp| {
-                    apply_batch_response(&metas[i], resp, &mut results)
+                conn.pipelined(frames.len(), &mut request, |i, resp| {
+                    apply_batch_response(&frames[i], resp, &mut results)
                 })
             }
         })
@@ -557,68 +496,57 @@ impl Client {
     }
 }
 
-/// Dials `addr` and performs the HELLO handshake, offering at most
-/// `ours`. The server replies with the agreed version — `min` of both
-/// sides — which must land in `MIN_PROTOCOL_VERSION..=ours`.
-fn dial(addr: &str, ours: u32) -> Result<(Conn, ServerInfo), NetError> {
-    let stream = TcpStream::connect(addr).map_err(|e| {
+/// Dials `addr` and performs the HELLO handshake. The server must
+/// announce exactly [`PROTOCOL_VERSION`].
+fn dial(addr: &str) -> Result<(Conn, ServerInfo), NetError> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| {
         NetError::Io(std::io::Error::new(
             e.kind(),
             format!("cannot connect to {addr}: {e}"),
         ))
     })?;
     let _ = stream.set_nodelay(true);
-    let mut conn = Conn {
-        stream,
-        next_id: 1,
-        // Until HELLO agrees otherwise, speak the lowest common form:
-        // no trace context on the handshake itself.
-        version: MIN_PROTOCOL_VERSION,
+    // The handshake is request 1 and travels untraced.
+    let hello = Request::Hello {
+        version: PROTOCOL_VERSION,
     };
-    match conn.call(&Request::Hello { version: ours })? {
-        Response::Hello(info) => {
-            if info.version < MIN_PROTOCOL_VERSION || info.version > ours {
-                return Err(NetError::Version {
-                    ours,
-                    theirs: info.version,
-                });
-            }
-            conn.version = info.version;
-            Ok((conn, info))
-        }
+    write_request(&mut stream, 1, &hello)?;
+    match ok_or_remote(read_response(&mut stream)?.1)? {
+        Response::Hello(info) if info.version != PROTOCOL_VERSION => Err(NetError::Version {
+            ours: PROTOCOL_VERSION,
+            theirs: info.version,
+        }),
+        Response::Hello(info) => Ok((Conn { stream, next_id: 2 }, info)),
         other => Err(unexpected("HELLO", &other)),
     }
 }
 
-/// One wire frame's worth of batch ops, the stitch-back map, and the
-/// per-op `(is_write, len)` specs kept for response validation after
-/// the ops move into the request.
+/// One wire frame's worth of batch ops and the stitch-back map.
 #[derive(Default)]
 struct Frame {
     ops: Vec<IoOp>,
     map: StitchMap,
-    specs: Vec<OpSpec>,
 }
 
 /// Folds one BATCH response into the result slots its frame maps to.
 fn apply_batch_response(
-    (map, specs): &FrameMeta,
+    frame: &Frame,
     resp: Response,
     results: &mut [OpResult],
 ) -> Result<(), NetError> {
     let Response::Batched(replies) = resp else {
         return Err(unexpected("BATCH", &resp));
     };
-    if replies.len() != specs.len() {
+    if replies.len() != frame.ops.len() {
         return Err(NetError::Protocol(format!(
             "BATCH returned {} replies for {} ops",
             replies.len(),
-            specs.len()
+            frame.ops.len()
         )));
     }
     for (j, reply) in replies.into_iter().enumerate() {
-        let (op_idx, span_off) = map[j];
-        let (is_write, len) = specs[j];
+        let (op_idx, span_off) = frame.map[j];
+        let (is_write, len) = (frame.ops[j].is_write(), frame.ops[j].byte_len());
         match (reply, is_write, &mut results[op_idx]) {
             (BatchReply::Data(data), false, OpResult::Read(out)) => {
                 if data.len() != len {
@@ -673,7 +601,6 @@ fn batch_frames(ops: &[IoOp]) -> Vec<Frame> {
                 },
             });
             cur.map.push((i, at));
-            cur.specs.push((op.is_write(), piece));
             budget += piece;
             at += piece;
             if at >= op.byte_len() {

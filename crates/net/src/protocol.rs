@@ -10,12 +10,11 @@
 //! ```
 //!
 //! where `len` counts everything after itself (so `9 + payload`). The
-//! opcode byte's high bit is the **trace flag** ([`TRACE_FLAG`],
-//! protocol v3): when set, the payload begins with a 16-byte span
-//! context (`[u64 trace_id] [u64 span_id]`) naming the client span the
-//! server's work should nest under, and the real payload follows. A
-//! frame without the flag is byte-identical to protocol v2. A
-//! **response** frame is
+//! opcode byte's high bit is the **trace flag** ([`TRACE_FLAG`]): when
+//! set, the payload begins with a 16-byte span context
+//! (`[u64 trace_id] [u64 span_id]`) naming the client span the server's
+//! work should nest under, and the real payload follows. A **response**
+//! frame is
 //!
 //! ```text
 //! [u32 len] [u64 request_id] [u8 status] [u32 checksum] [payload …]
@@ -27,32 +26,15 @@
 //! and echoed verbatim; responses may arrive in any order, which is what
 //! makes pipelining across a shared connection possible.
 //!
-//! The HELLO exchange *negotiates* the protocol version: the client
-//! sends magic `b"STAIRNET"` plus its version, the server answers with
-//! `min(client version, server version)` and the store shape
-//! ([`ServerInfo`]); either side rejects a peer older than
-//! [`MIN_PROTOCOL_VERSION`]. Both sides then speak the agreed version —
-//! in practice that only gates whether the client may set the trace
-//! flag, since every v2 frame is valid v3.
-//!
-//! Version history: v1 shipped the nine base opcodes; v2 added the
-//! [`Opcode::Batch`] frame (many ops in one request, one checksummed
-//! response) with every v1 opcode unchanged on the wire, and later
-//! grew the [`Opcode::Metrics`] frame (pull the server's metrics
-//! snapshot) the same way — additive, so the version number did not
-//! bump and older peers simply never send the new opcode. v3 added
-//! wire-propagated trace context (the opcode high bit, above) and the
-//! [`Opcode::Trace`] frame (pull the server's flight recorder); v2
-//! peers are still accepted, and a frame without the trace flag is
-//! byte-for-byte a v2 frame. v4 (the journal protocol) extends two
-//! existing frames *for sessions that negotiated ≥ 4 only*: a BATCH
-//! request opens with a client-chosen `[u64 batch_id]` (so a batch
-//! reissued after a redial is identifiable server-side; journal replay
-//! makes re-application safe), and each STATUS response shard carries
-//! a trailing `[u8 clean_shutdown] [u64 replayed_records]`. On a v2/v3
-//! session both frames keep their old byte layout, which is why the
-//! encode/decode helpers below take the negotiated session version
-//! (`*_v` variants; the unsuffixed forms assume [`PROTOCOL_VERSION`]).
+//! The HELLO exchange pins the protocol version: the client sends magic
+//! `b"STAIRNET"` plus [`PROTOCOL_VERSION`], and the server answers with
+//! its own version and the store shape ([`ServerInfo`]). Each side
+//! requires the other to speak exactly [`PROTOCOL_VERSION`] and refuses
+//! any other version at HELLO — there is one wire format, v4: twelve
+//! opcodes, optional trace context (the opcode high bit, above), BATCH
+//! requests that open with a client-chosen `[u64 batch_id]` (so a batch
+//! reissued after a redial is identifiable server-side), and STATUS
+//! shards that carry `[u8 clean_shutdown] [u64 replayed_records]`.
 
 use std::io::{Read, Write};
 
@@ -62,17 +44,10 @@ use stair_store::checksum::fletcher32;
 
 use crate::NetError;
 
-/// Protocol version this build speaks.
+/// Protocol version this build speaks; HELLO refuses every other.
 pub const PROTOCOL_VERSION: u32 = 4;
-/// Protocol version that introduced BATCH ids and the STATUS
-/// crash-recovery fields (`clean_shutdown` / `replayed_records`).
-pub const JOURNAL_SINCE_VERSION: u32 = 4;
-/// Oldest peer version still accepted at HELLO time; the negotiated
-/// session version is `min(client, server)`.
-pub const MIN_PROTOCOL_VERSION: u32 = 2;
-/// High bit of the request opcode byte (protocol v3): set when the
-/// payload is prefixed with a `[u64 trace_id][u64 span_id]` span
-/// context. Clear on every frame a v2 peer could send.
+/// High bit of the request opcode byte: set when the payload is
+/// prefixed with a `[u64 trace_id][u64 span_id]` span context.
 pub const TRACE_FLAG: u8 = 0x80;
 /// Magic bytes opening a HELLO payload.
 pub const MAGIC: &[u8; 8] = b"STAIRNET";
@@ -109,11 +84,11 @@ pub enum Opcode {
     Repair = 8,
     /// Ask the server to stop accepting work and exit its run loop.
     Shutdown = 9,
-    /// Submit many read/write ops as one frame (protocol v2).
+    /// Submit many read/write ops as one frame.
     Batch = 10,
-    /// Pull the server's metrics snapshot (protocol v2, additive).
+    /// Pull the server's metrics snapshot.
     Metrics = 11,
-    /// Pull the server's flight recorder (protocol v3).
+    /// Pull the server's flight recorder.
     Trace = 12,
 }
 
@@ -236,8 +211,7 @@ pub enum Request {
     /// Execute `ops` as one scatter-gather batch; the response carries
     /// one reply per op, in submission order.
     Batch {
-        /// Client-chosen batch id (protocol v4; 0 = unassigned, the
-        /// only value a v2/v3 frame can carry). A client that redials
+        /// Client-chosen batch id (0 = unassigned). A client that redials
         /// mid-batch reissues the frame under the *same* id, so the
         /// server can count duplicate deliveries; re-applying the
         /// writes is safe regardless, because the store journals
@@ -418,11 +392,9 @@ pub struct WireShardStatus {
     pub rebuilding_devices: Vec<u32>,
     /// Known-damaged sectors awaiting repair.
     pub known_bad_sectors: u32,
-    /// Whether the shard's previous close checkpointed its journal
-    /// (protocol v4; a v2/v3 peer reports `true` vacuously).
+    /// Whether the shard's previous close checkpointed its journal.
     pub clean_shutdown: bool,
-    /// Journal records replayed when the shard opened (protocol v4;
-    /// a v2/v3 peer reports 0).
+    /// Journal records replayed when the shard opened.
     pub replayed_records: u64,
 }
 
@@ -638,7 +610,7 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn encode_request_payload(req: &Request, version: u32) -> Vec<u8> {
+fn encode_request_payload(req: &Request) -> Vec<u8> {
     let mut e = Enc(Vec::new());
     match req {
         Request::Hello { version } => {
@@ -680,9 +652,7 @@ fn encode_request_payload(req: &Request, version: u32) -> Vec<u8> {
         }
         Request::Scrub { threads } | Request::Repair { threads } => e.u32(*threads),
         Request::Batch { batch_id, ops } => {
-            if version >= JOURNAL_SINCE_VERSION {
-                e.u64(*batch_id);
-            }
+            e.u64(*batch_id);
             e.u32(ops.len() as u32);
             for op in ops {
                 match op {
@@ -704,7 +674,7 @@ fn encode_request_payload(req: &Request, version: u32) -> Vec<u8> {
     e.0
 }
 
-fn decode_request_payload(op: Opcode, payload: &[u8], version: u32) -> Result<Request, NetError> {
+fn decode_request_payload(op: Opcode, payload: &[u8]) -> Result<Request, NetError> {
     let mut d = Dec::new(payload);
     let req = match op {
         Opcode::Hello => {
@@ -755,11 +725,7 @@ fn decode_request_payload(op: Opcode, payload: &[u8], version: u32) -> Result<Re
         Opcode::Repair => Request::Repair { threads: d.u32()? },
         Opcode::Shutdown => Request::Shutdown,
         Opcode::Batch => {
-            let batch_id = if version >= JOURNAL_SINCE_VERSION {
-                d.u64()?
-            } else {
-                0
-            };
+            let batch_id = d.u64()?;
             let count = d.u32()?;
             if count > MAX_BATCH_OPS {
                 return Err(NetError::Protocol(format!(
@@ -984,7 +950,7 @@ fn decode_traces(d: &mut Dec<'_>) -> Result<Vec<WireTrace>, NetError> {
     Ok(traces)
 }
 
-fn encode_response_payload(resp: &Response, version: u32) -> (u8, Vec<u8>) {
+fn encode_response_payload(resp: &Response) -> (u8, Vec<u8>) {
     let mut e = Enc(Vec::new());
     let status = match resp {
         Response::Error(msg) => {
@@ -1011,10 +977,8 @@ fn encode_response_payload(resp: &Response, version: u32) -> (u8, Vec<u8>) {
                 e.u32s(&s.failed_devices);
                 e.u32s(&s.rebuilding_devices);
                 e.u32(s.known_bad_sectors);
-                if version >= JOURNAL_SINCE_VERSION {
-                    e.u8(s.clean_shutdown as u8);
-                    e.u64(s.replayed_records);
-                }
+                e.u8(s.clean_shutdown as u8);
+                e.u64(s.replayed_records);
             }
             Opcode::Status as u8
         }
@@ -1083,7 +1047,7 @@ fn encode_response_payload(resp: &Response, version: u32) -> (u8, Vec<u8>) {
     (status, e.0)
 }
 
-fn decode_response_payload(status: u8, payload: &[u8], version: u32) -> Result<Response, NetError> {
+fn decode_response_payload(status: u8, payload: &[u8]) -> Result<Response, NetError> {
     if status == 0 {
         return Ok(Response::Error(
             String::from_utf8_lossy(payload).into_owned(),
@@ -1103,7 +1067,7 @@ fn decode_response_payload(status: u8, payload: &[u8], version: u32) -> Result<R
             let count = d.u32()? as usize;
             let mut shards = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
-                let mut s = WireShardStatus {
+                shards.push(WireShardStatus {
                     codec: d.str()?,
                     capacity: d.u64()?,
                     block_size: d.u32()?,
@@ -1112,16 +1076,9 @@ fn decode_response_payload(status: u8, payload: &[u8], version: u32) -> Result<R
                     failed_devices: d.u32s()?,
                     rebuilding_devices: d.u32s()?,
                     known_bad_sectors: d.u32()?,
-                    // A pre-journal peer has nothing to report:
-                    // vacuously clean, nothing replayed.
-                    clean_shutdown: true,
-                    replayed_records: 0,
-                };
-                if version >= JOURNAL_SINCE_VERSION {
-                    s.clean_shutdown = decode_bool(&mut d, "clean_shutdown")?;
-                    s.replayed_records = d.u64()?;
-                }
-                shards.push(s);
+                    clean_shutdown: decode_bool(&mut d, "clean_shutdown")?,
+                    replayed_records: d.u64()?,
+                });
             }
             Response::Status(shards)
         }
@@ -1205,21 +1162,18 @@ fn read_frame(stream: &mut impl Read) -> Result<Vec<u8>, NetError> {
     Ok(body)
 }
 
-/// Writes one request frame with no trace context at the current
-/// [`PROTOCOL_VERSION`] — byte-identical to a protocol v2 frame for
-/// every request except a BATCH carrying an id.
+/// Writes one request frame with no trace context.
 ///
 /// # Errors
 ///
 /// Propagates socket errors.
 pub fn write_request(stream: &mut impl Write, id: u64, req: &Request) -> Result<(), NetError> {
-    write_request_traced_v(stream, id, req, None, PROTOCOL_VERSION)
+    write_request_traced(stream, id, req, None)
 }
 
-/// Writes one request frame at the current [`PROTOCOL_VERSION`],
-/// optionally carrying span context (sets [`TRACE_FLAG`] on the opcode
-/// byte and prefixes the payload with `[u64 trace_id][u64 span_id]`).
-/// Only send context to a peer that negotiated protocol ≥ 3.
+/// Writes one request frame, optionally carrying span context (sets
+/// [`TRACE_FLAG`] on the opcode byte and prefixes the payload with
+/// `[u64 trace_id][u64 span_id]`).
 ///
 /// # Errors
 ///
@@ -1230,28 +1184,11 @@ pub fn write_request_traced(
     req: &Request,
     ctx: Option<SpanCtx>,
 ) -> Result<(), NetError> {
-    write_request_traced_v(stream, id, req, ctx, PROTOCOL_VERSION)
-}
-
-/// [`write_request_traced`] at an explicit negotiated session version
-/// — what a client holding a v2/v3 session uses so its BATCH frames
-/// keep the pre-v4 layout.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_request_traced_v(
-    stream: &mut impl Write,
-    id: u64,
-    req: &Request,
-    ctx: Option<SpanCtx>,
-    version: u32,
-) -> Result<(), NetError> {
     // No-op unless the caller is inside a recorded span (only clients
     // write requests, so this is the client-side serialization cost).
     let payload = {
         let _enc = stair_obs::trace::span(stair_obs::trace::names::CLIENT_ENCODE);
-        encode_request_payload(req, version)
+        encode_request_payload(req)
     };
     let prefix = if ctx.is_some() { 16 } else { 0 };
     let mut frame = Vec::with_capacity(4 + 9 + prefix + payload.len());
@@ -1282,9 +1219,9 @@ pub fn read_request(stream: &mut impl Read) -> Result<(u64, Request), NetError> 
     Ok((id, req))
 }
 
-/// Reads one request frame at the current [`PROTOCOL_VERSION`],
-/// returning `(request_id, request, span context)` — the context is
-/// `Some` exactly when the sender set [`TRACE_FLAG`].
+/// Reads one request frame, returning `(request_id, request, span
+/// context)` — the context is `Some` exactly when the sender set
+/// [`TRACE_FLAG`].
 ///
 /// # Errors
 ///
@@ -1292,21 +1229,6 @@ pub fn read_request(stream: &mut impl Read) -> Result<(u64, Request), NetError> 
 /// requests are all rejected.
 pub fn read_request_traced(
     stream: &mut impl Read,
-) -> Result<(u64, Request, Option<SpanCtx>), NetError> {
-    read_request_traced_v(stream, PROTOCOL_VERSION)
-}
-
-/// [`read_request_traced`] at an explicit negotiated session version —
-/// what the server's reader uses after HELLO so a v2/v3 peer's BATCH
-/// frames parse under their original layout.
-///
-/// # Errors
-///
-/// Socket errors, truncated frames, unknown opcodes, or oversized
-/// requests are all rejected.
-pub fn read_request_traced_v(
-    stream: &mut impl Read,
-    version: u32,
 ) -> Result<(u64, Request, Option<SpanCtx>), NetError> {
     let body = read_frame(stream)?;
     let mut d = Dec::new(&body);
@@ -1322,33 +1244,17 @@ pub fn read_request_traced_v(
         None
     };
     let payload = &body[d.at..];
-    Ok((id, decode_request_payload(op, payload, version)?, ctx))
+    Ok((id, decode_request_payload(op, payload)?, ctx))
 }
 
 /// Writes one response frame (status byte + Fletcher-32 of the
-/// payload) at the current [`PROTOCOL_VERSION`].
+/// payload).
 ///
 /// # Errors
 ///
 /// Propagates socket errors.
 pub fn write_response(stream: &mut impl Write, id: u64, resp: &Response) -> Result<(), NetError> {
-    write_response_v(stream, id, resp, PROTOCOL_VERSION)
-}
-
-/// [`write_response`] at an explicit negotiated session version — what
-/// the server uses so a v2/v3 peer receives STATUS shards without the
-/// v4 trailing fields.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_response_v(
-    stream: &mut impl Write,
-    id: u64,
-    resp: &Response,
-    version: u32,
-) -> Result<(), NetError> {
-    let (status, payload) = encode_response_payload(resp, version);
+    let (status, payload) = encode_response_payload(resp);
     let sum = fletcher32(&payload);
     let mut frame = Vec::with_capacity(4 + 13 + payload.len());
     frame.extend_from_slice(&(13 + payload.len() as u32).to_le_bytes());
@@ -1376,24 +1282,13 @@ pub fn ok_or_remote(resp: Response) -> Result<Response, NetError> {
     }
 }
 
-/// Reads one response frame at the current [`PROTOCOL_VERSION`],
-/// verifying the payload checksum. Returns `(request_id, response)`.
+/// Reads one response frame, verifying the payload checksum. Returns
+/// `(request_id, response)`.
 ///
 /// # Errors
 ///
 /// Socket errors, malformed frames, and checksum mismatches.
 pub fn read_response(stream: &mut impl Read) -> Result<(u64, Response), NetError> {
-    read_response_v(stream, PROTOCOL_VERSION)
-}
-
-/// [`read_response`] at an explicit negotiated session version — what
-/// a client holding a v2/v3 session uses to parse STATUS responses
-/// under their original layout.
-///
-/// # Errors
-///
-/// Socket errors, malformed frames, and checksum mismatches.
-pub fn read_response_v(stream: &mut impl Read, version: u32) -> Result<(u64, Response), NetError> {
     let body = read_frame(stream)?;
     let mut d = Dec::new(&body);
     let id = d.u64()?;
@@ -1407,7 +1302,7 @@ pub fn read_response_v(stream: &mut impl Read, version: u32) -> Result<(u64, Res
     // Covers parsing only, not the socket wait above — a trace must not
     // double-count the server's time under a client-side span.
     let _dec = stair_obs::trace::span(stair_obs::trace::names::CLIENT_DECODE);
-    Ok((id, decode_response_payload(status, payload, version)?))
+    Ok((id, decode_response_payload(status, payload)?))
 }
 
 #[cfg(test)]
@@ -1500,9 +1395,9 @@ mod tests {
     }
 
     #[test]
-    fn untraced_frames_are_byte_identical_to_v2() {
+    fn untraced_frames_carry_no_flag_or_context() {
         // write_request (and write_request_traced with None) must emit
-        // exactly the v2 encoding: no flag bit, no context prefix.
+        // the bare frame: no flag bit, no context prefix.
         let req = Request::Read {
             offset: 0x0102_0304_0506_0708,
             len: 4096,
@@ -1521,7 +1416,7 @@ mod tests {
         write_request_traced(&mut traced_none, 0x0A0B_0C0D_0E0F_1011, &req, None).unwrap();
         assert_eq!(traced_none, expected);
 
-        // And a v2-style reader (read_request) accepts it unchanged.
+        // And read_request accepts it unchanged.
         let (id, back) = read_request(&mut wire.as_slice()).unwrap();
         assert_eq!((id, back), (0x0A0B_0C0D_0E0F_1011, req));
     }
@@ -1767,74 +1662,30 @@ mod tests {
     }
 
     #[test]
-    fn v3_sessions_keep_the_pre_journal_batch_and_status_layout() {
-        // A BATCH written at session version 3 carries no batch id and
-        // is byte-identical to what a v3 build produced; decoding it at
-        // v3 yields batch_id 0.
+    fn batch_frames_open_with_their_batch_id() {
+        // The BATCH layout is pinned byte for byte: the client-chosen
+        // batch id precedes the op count.
         let req = Request::Batch {
-            batch_id: 77, // dropped on the wire at v3
+            batch_id: 77,
             ops: vec![IoOp::Read {
                 offset: 512,
                 len: 8,
             }],
         };
-        let mut v3_wire = Vec::new();
-        write_request_traced_v(&mut v3_wire, 9, &req, None, 3).unwrap();
-        let mut legacy = Vec::new();
-        legacy.extend_from_slice(&(9 + 4 + 13u32).to_le_bytes()); // count + one read op
-        legacy.extend_from_slice(&9u64.to_le_bytes());
-        legacy.push(Opcode::Batch as u8);
-        legacy.extend_from_slice(&1u32.to_le_bytes());
-        legacy.push(0); // read
-        legacy.extend_from_slice(&512u64.to_le_bytes());
-        legacy.extend_from_slice(&8u32.to_le_bytes());
-        assert_eq!(v3_wire, legacy);
-        let (_, back, _) = read_request_traced_v(&mut v3_wire.as_slice(), 3).unwrap();
-        assert_eq!(
-            back,
-            Request::Batch {
-                batch_id: 0,
-                ops: vec![IoOp::Read {
-                    offset: 512,
-                    len: 8
-                }],
-            }
-        );
-        // At v4 the same request round-trips its id.
-        let mut v4_wire = Vec::new();
-        write_request_traced_v(&mut v4_wire, 9, &req, None, 4).unwrap();
-        assert_eq!(v4_wire.len(), v3_wire.len() + 8);
-        let (_, back, _) = read_request_traced_v(&mut v4_wire.as_slice(), 4).unwrap();
+        let mut wire = Vec::new();
+        write_request(&mut wire, 9, &req).unwrap();
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&(9 + 8 + 4 + 13u32).to_le_bytes()); // id + count + one read op
+        expected.extend_from_slice(&9u64.to_le_bytes());
+        expected.push(Opcode::Batch as u8);
+        expected.extend_from_slice(&77u64.to_le_bytes());
+        expected.extend_from_slice(&1u32.to_le_bytes());
+        expected.push(0); // read
+        expected.extend_from_slice(&512u64.to_le_bytes());
+        expected.extend_from_slice(&8u32.to_le_bytes());
+        assert_eq!(wire, expected);
+        let (_, back) = read_request(&mut wire.as_slice()).unwrap();
         assert_eq!(back, req);
-
-        // A STATUS response written at v3 drops the journal fields and
-        // decodes to the vacuous defaults (clean, nothing replayed).
-        let shard = WireShardStatus {
-            codec: "rs:6,4,2".into(),
-            capacity: 4096,
-            block_size: 64,
-            stripes: 4,
-            blocks_per_stripe: 16,
-            failed_devices: vec![],
-            rebuilding_devices: vec![],
-            known_bad_sectors: 0,
-            clean_shutdown: false,
-            replayed_records: 12,
-        };
-        let mut wire = Vec::new();
-        write_response_v(&mut wire, 5, &Response::Status(vec![shard.clone()]), 3).unwrap();
-        let (_, back) = read_response_v(&mut wire.as_slice(), 3).unwrap();
-        let expected = WireShardStatus {
-            clean_shutdown: true,
-            replayed_records: 0,
-            ..shard.clone()
-        };
-        assert_eq!(back, Response::Status(vec![expected]));
-        // And at v4 the crash-recovery fields survive the trip.
-        let mut wire = Vec::new();
-        write_response_v(&mut wire, 5, &Response::Status(vec![shard.clone()]), 4).unwrap();
-        let (_, back) = read_response_v(&mut wire.as_slice(), 4).unwrap();
-        assert_eq!(back, Response::Status(vec![shard]));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -35,8 +35,8 @@ use stair_obs::trace::{self, names};
 use stair_obs::{MetricsRegistry, SpanCtx};
 
 use crate::protocol::{
-    read_request_traced_v, write_response_v, BatchReply, RepairSummary, Request, Response,
-    ScrubSummary, ServerInfo, WireTrace, WriteSummary, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    read_request_traced, write_response, BatchReply, RepairSummary, Request, Response,
+    ScrubSummary, ServerInfo, WireTrace, WriteSummary, PROTOCOL_VERSION,
 };
 use crate::shards::{wire_status, ShardSet};
 use crate::NetError;
@@ -48,11 +48,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Most WRITE requests one worker batches into a single pass.
     pub write_batch: usize,
-    /// Highest protocol version this server speaks. HELLO negotiates
-    /// `min(client, max_version)`; clients older than
-    /// [`MIN_PROTOCOL_VERSION`] are rejected. Capping below
-    /// [`PROTOCOL_VERSION`] lets tests impersonate an older server.
-    pub max_version: u32,
 }
 
 impl Default for ServerConfig {
@@ -60,7 +55,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             write_batch: 32,
-            max_version: PROTOCOL_VERSION,
         }
     }
 }
@@ -86,11 +80,7 @@ const RECENT_BATCH_IDS: usize = 64;
 /// the hangup and retires the connection.
 struct ConnWriter {
     stream: Mutex<TcpStream>,
-    /// Protocol version negotiated at HELLO; responses are encoded at
-    /// this version so a v2/v3 peer never sees v4 fields. Before HELLO
-    /// it holds [`MIN_PROTOCOL_VERSION`], the lowest common form.
-    version: AtomicU32,
-    /// Ring of recent nonzero BATCH ids (v4 clients stamp retried
+    /// Ring of recent nonzero BATCH ids (clients stamp retried
     /// batches with the same id; a repeat here means the client
     /// redelivered after a redial).
     recent_batches: Mutex<VecDeque<u64>>,
@@ -104,7 +94,7 @@ impl ConnWriter {
             .stream
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _ = write_response_v(&mut *stream, id, resp, self.version.load(Ordering::Acquire));
+        let _ = write_response(&mut *stream, id, resp);
     }
 
     /// Records `batch_id` and reports whether it was already seen on
@@ -251,12 +241,10 @@ impl Server {
         }
     }
 
-    /// The HELLO payload this server announces. `version` is the
-    /// highest protocol this server speaks; HELLO replies carry
-    /// `min(client, server)` instead.
+    /// The HELLO payload this server announces.
     pub fn info(&self) -> ServerInfo {
         ServerInfo {
-            version: self.config.max_version.min(PROTOCOL_VERSION),
+            version: PROTOCOL_VERSION,
             shards: self.shards.shard_count() as u32,
             capacity: self.shards.capacity(),
             block_size: self.shards.block_size() as u32,
@@ -339,13 +327,11 @@ fn reader_loop(stream: TcpStream, state: &State, info: &ServerInfo, addr: Socket
             Ok(s) => Mutex::new(s),
             Err(_) => return,
         },
-        version: AtomicU32::new(MIN_PROTOCOL_VERSION),
         recent_batches: Mutex::new(VecDeque::new()),
     });
     let mut stream = stream;
     loop {
-        let session = writer.version.load(Ordering::Acquire);
-        let (id, req, ctx) = match read_request_traced_v(&mut stream, session) {
+        let (id, req, ctx) = match read_request_traced(&mut stream) {
             Ok(x) => x,
             Err(NetError::Protocol(msg)) => {
                 // A malformed frame desynchronizes the stream; report and
@@ -359,25 +345,17 @@ fn reader_loop(stream: TcpStream, state: &State, info: &ServerInfo, addr: Socket
         match req {
             Request::Hello { version } => {
                 state.registry.counter("srv.req.hello").inc();
-                if version < MIN_PROTOCOL_VERSION {
+                if version != PROTOCOL_VERSION {
                     state.registry.counter("srv.errors.hello").inc();
                     writer.send(
                         id,
                         &Response::Error(format!(
-                            "version mismatch: server speaks v{}..=v{}, client v{version}",
-                            MIN_PROTOCOL_VERSION, info.version
+                            "version mismatch: server speaks v{PROTOCOL_VERSION}, client v{version}"
                         )),
                     );
                     return;
                 }
-                // Negotiate down to whichever side is older; a v2 client
-                // gets a v2 reply and never sees trace-flagged frames,
-                // and every later frame on this connection is encoded
-                // and decoded at the agreed version.
-                let mut agreed = info.clone();
-                agreed.version = version.min(info.version);
-                writer.version.store(agreed.version, Ordering::Release);
-                writer.send(id, &Response::Hello(agreed));
+                writer.send(id, &Response::Hello(info.clone()));
             }
             Request::Shutdown => {
                 state.registry.counter("srv.req.shutdown").inc();
@@ -386,7 +364,7 @@ fn reader_loop(stream: TcpStream, state: &State, info: &ServerInfo, addr: Socket
                 return;
             }
             req => {
-                // Duplicate-batch accounting (protocol v4): a nonzero
+                // Duplicate-batch accounting: a nonzero
                 // id seen twice on one connection means the client
                 // redelivered a batch after a redial; the journal makes
                 // re-applying it safe, the counter makes it observable.

@@ -1,12 +1,13 @@
 //! Client resilience regression tests: a connection killed between ops
 //! must not surface as a hard error on idempotent requests — the
 //! client reconnects and retries once. Plain writes never auto-retry;
-//! *batched* writes on a protocol ≥ 4 session do (the frame carries a
-//! batch id and the server journals the post-images, so redelivery is
-//! safe). The dropped connection always heals on the next call.
+//! *batched* writes do (the frame carries a batch id and the server
+//! journals the post-images, so redelivery is safe). The dropped
+//! connection always heals on the next call.
 
 use std::path::PathBuf;
 
+use stair_net::protocol::PROTOCOL_VERSION;
 use stair_net::{Client, NetError, Server, ServerConfig, ShardSet};
 use stair_store::StoreOptions;
 
@@ -84,7 +85,7 @@ fn idempotent_ops_survive_a_killed_connection_writes_do_not_retry() {
 }
 
 #[test]
-fn write_batches_retry_over_a_killed_connection_on_v4_sessions() {
+fn write_batches_retry_over_a_killed_connection() {
     let dir = tmpdir("batchretry");
     let set = ShardSet::create(
         &dir,
@@ -102,13 +103,13 @@ fn write_batches_retry_over_a_killed_connection_on_v4_sessions() {
     let running = std::thread::spawn(move || server.run());
 
     let client = Client::connect(&addr).expect("connect");
-    assert!(client.info().version >= 4, "fresh peers negotiate v4");
+    assert_eq!(client.info().version, PROTOCOL_VERSION);
     let capacity = client.capacity() as usize;
     let base = pattern(capacity, 7);
     client.write_at(0, &base).expect("base write");
 
     // Kill the connection, then submit a batch *containing writes*:
-    // on a v4 session the client reconnects and reissues the frames
+    // the client reconnects and reissues the frames
     // (same batch ids), so the caller never sees the dead socket.
     handle.disconnect_all();
     let w1 = pattern(64, 21);
@@ -129,21 +130,6 @@ fn write_batches_retry_over_a_killed_connection_on_v4_sessions() {
         "acknowledged batch writes must be durable after the retry"
     );
 
-    // An impersonated v3 client keeps the old contract: batched writes
-    // surface the transport error instead of retrying.
-    let old = Client::connect_with_version(&addr, 3).expect("v3 connect");
-    assert_eq!(old.info().version, 3);
-    handle.disconnect_all();
-    let mut batch = stair_device::IoBatch::new();
-    batch.write(0, pattern(64, 30));
-    match old.submit(&batch) {
-        Err(NetError::Io(_)) => {}
-        other => panic!("expected a transport error for the v3 write batch, got {other:?}"),
-    }
-
-    // Heal the main client's connection (the second kill severed it
-    // too) before asking for an orderly shutdown.
-    client.read_at(0, 64).expect("heal");
     client.shutdown_server().expect("shutdown");
     running.join().expect("server thread").expect("run");
     std::fs::remove_dir_all(&dir).expect("cleanup");

@@ -48,7 +48,6 @@ fn start_server(
         ServerConfig {
             workers,
             write_batch: 8,
-            ..ServerConfig::default()
         },
     )
     .expect("bind");

@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use stair_device::IoBatch;
+use stair_net::protocol::PROTOCOL_VERSION;
 use stair_net::{Client, Server, ServerConfig, ShardSet};
 use stair_obs::trace::names;
 use stair_obs::{SpanRecord, TraceRecord};
@@ -88,7 +89,7 @@ fn traced_batch_yields_a_contained_four_layer_span_tree() {
 
     stair_obs::trace::set_enabled(true);
     let client = Client::connect(&addr).expect("connect");
-    assert!(client.info().version >= 3, "HELLO should agree on v3");
+    assert_eq!(client.info().version, PROTOCOL_VERSION);
 
     // A batch of disjoint writes and a read: conflict-free, so the
     // server runs the stripe store's native batched path (one lock +

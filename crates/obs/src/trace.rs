@@ -7,7 +7,7 @@
 //! timed interval with a parent pointer — so a slow request can be
 //! attributed to client serialization vs. queue wait vs. stripe lock
 //! vs. codec pass. Span context crosses threads via [`enter_ctx`] and
-//! crosses the wire inside protocol v3 frames (the net crate owns the
+//! crosses the wire inside traced protocol frames (the net crate owns the
 //! encoding; this crate only hands out `(trace_id, span_id)` pairs).
 //!
 //! Completed traces land in the process-global [`FlightRecorder`]: a

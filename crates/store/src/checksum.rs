@@ -3,8 +3,8 @@
 //! them. Real arrays use exactly this split: detection by checksum or
 //! drive error, correction by redundancy.
 //!
-//! This is the single implementation shared by the store engine and the
-//! archive tool (`stair_cli::checksum` re-exports it).
+//! This is the single implementation shared by the store's sectors, its
+//! write-ahead journal, and the stair-net response frames.
 
 /// Fletcher-32 over the byte stream (odd trailing byte zero-padded).
 pub fn fletcher32(data: &[u8]) -> u32 {

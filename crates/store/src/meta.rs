@@ -2,15 +2,12 @@
 //! descriptor, sector size, and stripe count that every other on-disk
 //! structure is interpreted against.
 //!
-//! The superblock is versioned. `v3` adds crash-consistency state: the
-//! journal segment capacity and a `clean_shutdown` flag that records
-//! whether the last close checkpointed the journal. `v2` records the
-//! codec as a [`CodecSpec`] string, so [`crate::StripeStore::open`] can
-//! rebuild any supported erasure code; legacy `v1` superblocks (which
-//! spelled out the STAIR parameters as separate `n`/`r`/`m`/`e` keys)
-//! still parse and map onto a `stair:` spec. Both older versions load
-//! with journal defaults (and `clean_shutdown = true`: a pre-journal
-//! store has no journal to have left dirty).
+//! There is one superblock version, `v3`. It records the codec as a
+//! [`CodecSpec`] string, so [`crate::StripeStore::open`] can rebuild any
+//! supported erasure code, plus the crash-consistency state: the journal
+//! segment capacity and a `clean_shutdown` flag that records whether the
+//! last close checkpointed the journal. Every key is required; a
+//! superblock with any other magic line fails to open.
 
 use std::fs;
 use std::path::Path;
@@ -18,20 +15,15 @@ use std::str::FromStr;
 
 use stair_code::CodecSpec;
 
-use crate::journal::DEFAULT_JOURNAL_SEGMENT;
 use crate::Error;
 
 /// File name of the superblock inside a store directory.
 pub const META_FILE: &str = "store.meta";
 /// Magic first line; bump the version when the layout changes.
 pub const META_MAGIC: &str = "stair-store v3";
-/// Previous superblock version, still accepted on load.
-pub const META_MAGIC_V2: &str = "stair-store v2";
-/// Oldest superblock version, still accepted on load.
-pub const META_MAGIC_V1: &str = "stair-store v1";
 
 /// The immutable shape of a store (plus the two mutable
-/// crash-consistency fields the v3 superblock tracks).
+/// crash-consistency fields the superblock tracks).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoreMeta {
     /// Which erasure code protects the stripes.
@@ -61,8 +53,7 @@ impl StoreMeta {
         Ok(())
     }
 
-    /// Serializes to the superblock text format (always the current
-    /// `v3` layout; older versions are read-compatible only).
+    /// Serializes to the superblock text format.
     pub fn to_text(&self) -> String {
         format!(
             "{META_MAGIC}\ncodec {}\nsymbol {}\nstripes {}\njournal_segment {}\nclean_shutdown {}\n",
@@ -74,9 +65,9 @@ impl StoreMeta {
         )
     }
 
-    /// Parses either superblock version and validates it end to end
-    /// (including building the codec, so a parsed superblock is always an
-    /// openable one).
+    /// Parses a superblock and validates it end to end (including
+    /// building the codec, so a parsed superblock is always an openable
+    /// one).
     ///
     /// # Errors
     ///
@@ -95,24 +86,20 @@ impl StoreMeta {
     ) -> Result<(Self, Box<dyn stair_code::ErasureCode>), Error> {
         let mut lines = text.lines();
         let magic = lines.next().unwrap_or_default();
-        let meta = match magic {
-            META_MAGIC => Self::parse_v2v3(lines, true),
-            META_MAGIC_V2 => Self::parse_v2v3(lines, false),
-            META_MAGIC_V1 => Self::parse_v1(lines),
-            other => Err(Error::Meta(format!(
-                "bad magic `{other}`, expected `{META_MAGIC}` (or legacy `{META_MAGIC_V2}` / \
-                 `{META_MAGIC_V1}`)"
-            ))),
-        }?;
+        if magic != META_MAGIC {
+            return Err(Error::Meta(format!(
+                "bad magic `{magic}`, expected `{META_MAGIC}`"
+            )));
+        }
+        let meta = Self::parse_body(lines)?;
         meta.validate()?;
         let codec = crate::build_codec(&meta.codec)?; // must be constructible
         Ok((meta, codec))
     }
 
-    /// Shared v2/v3 body parser: v3 accepts (and defaults) the journal
-    /// keys, v2 rejects them — a v2 superblock with journal state is a
-    /// version-tagging bug, not a store to guess about.
-    fn parse_v2v3<'a>(lines: impl Iterator<Item = &'a str>, v3: bool) -> Result<Self, Error> {
+    /// Parses the `key value` lines after the magic; every key is
+    /// required, unknown keys are rejected.
+    fn parse_body<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Self, Error> {
         let mut codec = None;
         let mut symbol = None;
         let mut stripes = None;
@@ -125,10 +112,10 @@ impl StoreMeta {
                 }
                 "symbol" => symbol = Some(parse_usize(&key, &value)?),
                 "stripes" => stripes = Some(parse_usize(&key, &value)?),
-                "journal_segment" if v3 => {
+                "journal_segment" => {
                     journal_segment = Some(parse_usize(&key, &value)? as u64);
                 }
-                "clean_shutdown" if v3 => {
+                "clean_shutdown" => {
                     clean_shutdown = Some(match value.as_str() {
                         "0" => false,
                         "1" => true,
@@ -146,52 +133,13 @@ impl StoreMeta {
             codec: codec.ok_or_else(|| missing("codec"))?,
             symbol: symbol.ok_or_else(|| missing("symbol"))?,
             stripes: stripes.ok_or_else(|| missing("stripes"))?,
-            journal_segment: journal_segment.unwrap_or(DEFAULT_JOURNAL_SEGMENT),
-            clean_shutdown: clean_shutdown.unwrap_or(true),
-        })
-    }
-
-    /// Legacy v1 superblocks are always STAIR-coded.
-    fn parse_v1<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Self, Error> {
-        let mut n = None;
-        let mut r = None;
-        let mut m = None;
-        let mut e: Option<Vec<usize>> = None;
-        let mut symbol = None;
-        let mut stripes = None;
-        for (key, value) in fields(lines)? {
-            match key.as_str() {
-                "n" => n = Some(parse_usize(&key, &value)?),
-                "r" => r = Some(parse_usize(&key, &value)?),
-                "m" => m = Some(parse_usize(&key, &value)?),
-                "symbol" => symbol = Some(parse_usize(&key, &value)?),
-                "stripes" => stripes = Some(parse_usize(&key, &value)?),
-                "e" => {
-                    let parsed: Result<Vec<usize>, Error> = value
-                        .split(',')
-                        .map(|x| parse_usize("e", x.trim()))
-                        .collect();
-                    e = Some(parsed?);
-                }
-                _ => return Err(Error::Meta(format!("unknown key `{key}`"))),
-            }
-        }
-        Ok(StoreMeta {
-            codec: CodecSpec::Stair {
-                n: n.ok_or_else(|| missing("n"))?,
-                r: r.ok_or_else(|| missing("r"))?,
-                m: m.ok_or_else(|| missing("m"))?,
-                e: e.ok_or_else(|| missing("e"))?,
-            },
-            symbol: symbol.ok_or_else(|| missing("symbol"))?,
-            stripes: stripes.ok_or_else(|| missing("stripes"))?,
-            journal_segment: DEFAULT_JOURNAL_SEGMENT,
-            clean_shutdown: true,
+            journal_segment: journal_segment.ok_or_else(|| missing("journal_segment"))?,
+            clean_shutdown: clean_shutdown.ok_or_else(|| missing("clean_shutdown"))?,
         })
     }
 
     /// Writes the superblock into `dir` — atomically (temp file +
-    /// rename), because v3 rewrites it on every open/close transition
+    /// rename), because the store rewrites it on every open/close transition
     /// and a torn superblock would brick the store.
     pub fn save(&self, dir: &Path) -> Result<(), Error> {
         crate::integrity::write_atomic(dir, META_FILE, self.to_text().as_bytes())
@@ -242,6 +190,7 @@ fn fields<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Vec<(String, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::DEFAULT_JOURNAL_SEGMENT;
 
     fn meta() -> StoreMeta {
         StoreMeta {
@@ -267,23 +216,6 @@ mod tests {
             ..meta()
         };
         assert_eq!(StoreMeta::parse(&sd.to_text()).unwrap(), sd);
-    }
-
-    #[test]
-    fn legacy_v1_superblocks_parse_as_stair() {
-        let text = "stair-store v1\nn 8\nr 4\nm 2\ne 1,1,2\nsymbol 512\nstripes 16\n";
-        assert_eq!(StoreMeta::parse(text).unwrap(), meta());
-    }
-
-    #[test]
-    fn v2_superblocks_parse_with_journal_defaults() {
-        let text = "stair-store v2\ncodec stair:8,4,2,1-1-2\nsymbol 512\nstripes 16\n";
-        assert_eq!(StoreMeta::parse(text).unwrap(), meta());
-        // The journal keys are a v3 invention; a v2 superblock carrying
-        // them is mis-tagged and must be rejected, not guessed at.
-        let mixed = "stair-store v2\ncodec stair:8,4,2,1-1-2\nsymbol 512\nstripes 16\n\
-                     clean_shutdown 1\n";
-        assert!(StoreMeta::parse(mixed).is_err());
     }
 
     #[test]

@@ -1,19 +1,18 @@
-//! Superblock versioning, exercised end to end through the store —
-//! previously only covered implicitly by unit tests in `meta.rs`.
+//! The superblock, exercised end to end through the store.
 //!
 //! * a freshly created store writes a v3 superblock (codec spec +
 //!   journal geometry + `clean_shutdown`) that round-trips through
 //!   `open` for every codec family;
-//! * hand-written v1 and v2 fixtures (exactly as PR 1 / PR 2 stores
-//!   wrote them) still open end to end, adopt journal defaults, and
-//!   are upgraded to v3 in place on first open;
+//! * a hand-written v3 fixture opens end to end and keeps its journal
+//!   geometry;
 //! * the `clean_shutdown` flag follows the open/close lifecycle;
-//! * malformed superblocks are rejected with a metadata error rather
-//!   than a panic or a misconfigured store.
+//! * malformed superblocks — older versions and v3 texts missing a key
+//!   included — are rejected with a metadata error rather than a panic
+//!   or a misconfigured store.
 
 use std::path::PathBuf;
 
-use stair_store::{Error, StoreMeta, StoreOptions, StripeStore, DEFAULT_JOURNAL_SEGMENT};
+use stair_store::{Error, StoreMeta, StoreOptions, StripeStore};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("stair-superblock-{tag}-{}", std::process::id()));
@@ -62,52 +61,39 @@ fn v3_superblock_round_trips_for_every_codec_family() {
     }
 }
 
-/// The cross-version matrix: every historical superblock version opens
-/// the same underlying store end to end and upgrades to v3 in place.
+/// A hand-written v3 superblock opens the same underlying store end
+/// to end, and the rewrite on open keeps its journal geometry.
 #[test]
-fn superblock_version_matrix_opens_end_to_end() {
-    let v1 = "stair-store v1\nn 8\nr 4\nm 2\ne 1,1,2\nsymbol 64\nstripes 6\n";
-    let v2 = "stair-store v2\ncodec stair:8,4,2,1-1-2\nsymbol 64\nstripes 6\n";
-    let v3 = "stair-store v3\ncodec stair:8,4,2,1-1-2\nsymbol 64\nstripes 6\n\
-              journal_segment 1048576\nclean_shutdown 1\n";
-    for (version, fixture) in [("v1", v1), ("v2", v2), ("v3", v3)] {
-        let dir = tmpdir(&format!("matrix-{version}"));
-        let opts = StoreOptions {
-            code: "stair:8,4,2,1-1-2".parse().unwrap(),
-            symbol: 64,
-            stripes: 6,
-        };
-        let store = StripeStore::create(&dir, &opts).unwrap();
-        let payload = pattern(store.capacity() as usize, 11);
-        store.write_at(0, &payload).unwrap();
-        drop(store);
+fn v3_fixture_opens_end_to_end() {
+    let fixture = "stair-store v3\ncodec stair:8,4,2,1-1-2\nsymbol 64\nstripes 6\n\
+                   journal_segment 1048576\nclean_shutdown 1\n";
+    let dir = tmpdir("fixture");
+    let opts = StoreOptions {
+        code: "stair:8,4,2,1-1-2".parse().unwrap(),
+        symbol: 64,
+        stripes: 6,
+    };
+    let store = StripeStore::create(&dir, &opts).unwrap();
+    let payload = pattern(store.capacity() as usize, 11);
+    store.write_at(0, &payload).unwrap();
+    drop(store);
 
-        // Swap in the hand-written fixture and open through it.
-        std::fs::write(dir.join("store.meta"), fixture).unwrap();
-        let store = StripeStore::open(&dir).unwrap();
-        assert_eq!(store.codec_spec().to_string(), "stair:8,4,2,1-1-2");
-        assert_eq!(store.read_at(0, payload.len()).unwrap(), payload);
-        let status = store.status();
-        // v1/v2 predate the journal: vacuously clean. The v3 fixture
-        // says clean explicitly.
-        assert!(status.clean_shutdown, "{version}");
-        assert_eq!(status.replayed_records, 0, "{version}");
-        // Legacy stores keep working degraded, too.
-        store.fail_device(3).unwrap();
-        assert_eq!(store.read_at(0, payload.len()).unwrap(), payload);
-        drop(store);
+    // Swap in the hand-written fixture and open through it.
+    std::fs::write(dir.join("store.meta"), fixture).unwrap();
+    let store = StripeStore::open(&dir).unwrap();
+    assert_eq!(store.codec_spec().to_string(), "stair:8,4,2,1-1-2");
+    assert_eq!(store.read_at(0, payload.len()).unwrap(), payload);
+    let status = store.status();
+    assert!(status.clean_shutdown);
+    assert_eq!(status.replayed_records, 0);
+    // The store keeps working degraded, too.
+    store.fail_device(3).unwrap();
+    assert_eq!(store.read_at(0, payload.len()).unwrap(), payload);
+    drop(store);
 
-        // First open rewrote the superblock as v3 (journal defaults
-        // adopted for v1/v2, fixture capacity kept for v3).
-        let meta = StoreMeta::load(&dir).unwrap();
-        let text = std::fs::read_to_string(dir.join("store.meta")).unwrap();
-        assert!(text.starts_with("stair-store v3\n"), "{version}: {text}");
-        match version {
-            "v3" => assert_eq!(meta.journal_segment, 1_048_576),
-            _ => assert_eq!(meta.journal_segment, DEFAULT_JOURNAL_SEGMENT),
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
+    let meta = StoreMeta::load(&dir).unwrap();
+    assert_eq!(meta.journal_segment, 1_048_576);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -138,32 +124,35 @@ fn crash_marked_superblock_reports_unclean_until_next_close() {
 }
 
 #[test]
-fn v1_fixture_parses_with_field_reordering_and_blank_lines() {
-    let text = "stair-store v1\n\nstripes 6\ne 1,1,2\nm 2\nr 4\nn 8\n\nsymbol 64\n";
+fn fixture_parses_with_field_reordering_and_blank_lines() {
+    let text = "stair-store v3\n\nclean_shutdown 0\nstripes 6\n\njournal_segment 4096\n\
+                codec stair:8,4,2,1-1-2\n\nsymbol 64\n";
     let meta = StoreMeta::parse(text).unwrap();
     assert_eq!(meta.codec.to_string(), "stair:8,4,2,1-1-2");
     assert_eq!((meta.symbol, meta.stripes), (64, 6));
-    assert_eq!(meta.journal_segment, DEFAULT_JOURNAL_SEGMENT);
-    assert!(meta.clean_shutdown);
-    // And it re-serializes as v3.
-    assert!(meta.to_text().starts_with("stair-store v3\n"));
+    assert_eq!(meta.journal_segment, 4096);
+    assert!(!meta.clean_shutdown);
+    // And it re-serializes in canonical order.
+    assert_eq!(StoreMeta::parse(&meta.to_text()).unwrap(), meta);
 }
 
 #[test]
 fn malformed_superblocks_are_rejected_not_panicked() {
     let cases = [
-        // v1 missing a required field.
-        "stair-store v1\nn 8\nr 4\nm 2\nsymbol 64\nstripes 6\n",
-        // v1 with an unknown key.
-        "stair-store v1\nn 8\nr 4\nm 2\ne 1,1,2\nsymbol 64\nstripes 6\nshiny yes\n",
-        // v2 with a spec naming an impossible codec.
-        "stair-store v2\ncodec stair:8,4,2,100\nsymbol 64\nstripes 6\n",
-        // v2 with a garbage integer.
-        "stair-store v2\ncodec rs:6,4,2\nsymbol sixty-four\nstripes 6\n",
-        // v2 carrying v3-only journal keys (mis-tagged version).
-        "stair-store v2\ncodec rs:6,4,2\nsymbol 64\nstripes 6\njournal_segment 4096\n",
-        // v3 with a garbage clean_shutdown flag.
-        "stair-store v3\ncodec rs:6,4,2\nsymbol 64\nstripes 6\nclean_shutdown maybe\n",
+        // Missing a required field.
+        "stair-store v3\ncodec rs:6,4,2\nstripes 6\njournal_segment 4096\nclean_shutdown 1\n",
+        // An unknown key.
+        "stair-store v3\ncodec rs:6,4,2\nsymbol 64\nstripes 6\njournal_segment 4096\n\
+         clean_shutdown 1\nshiny yes\n",
+        // A spec naming an impossible codec.
+        "stair-store v3\ncodec stair:8,4,2,100\nsymbol 64\nstripes 6\njournal_segment 4096\n\
+         clean_shutdown 1\n",
+        // A garbage integer.
+        "stair-store v3\ncodec rs:6,4,2\nsymbol sixty-four\nstripes 6\njournal_segment 4096\n\
+         clean_shutdown 1\n",
+        // A garbage clean_shutdown flag.
+        "stair-store v3\ncodec rs:6,4,2\nsymbol 64\nstripes 6\njournal_segment 4096\n\
+         clean_shutdown maybe\n",
         // Unknown version.
         "stair-store v9\ncodec rs:6,4,2\nsymbol 64\nstripes 6\n",
         // Empty file.
@@ -171,6 +160,26 @@ fn malformed_superblocks_are_rejected_not_panicked() {
     ];
     for text in cases {
         assert!(StoreMeta::parse(text).is_err(), "accepted: {text:?}");
+    }
+
+    // Older superblock versions and v3 texts missing a journal key are
+    // metadata errors; the version errors name the expected magic.
+    let v1 = "stair-store v1\nn 8\nr 4\nm 2\ne 1,1,2\nsymbol 64\nstripes 6\n";
+    let v2 = "stair-store v2\ncodec stair:8,4,2,1-1-2\nsymbol 64\nstripes 6\n";
+    let no_clean = "stair-store v3\ncodec stair:8,4,2,1-1-2\nsymbol 64\nstripes 6\n\
+                    journal_segment 4096\n";
+    let no_segment = "stair-store v3\ncodec stair:8,4,2,1-1-2\nsymbol 64\nstripes 6\n\
+                      clean_shutdown 1\n";
+    for (text, needle) in [
+        (v1, "stair-store v3"),
+        (v2, "stair-store v3"),
+        (no_clean, "clean_shutdown"),
+        (no_segment, "journal_segment"),
+    ] {
+        match StoreMeta::parse(text) {
+            Err(Error::Meta(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected Meta error for {text:?}, got {other:?}"),
+        }
     }
 
     // Through the store: a corrupted superblock fails open cleanly.
@@ -185,11 +194,13 @@ fn malformed_superblocks_are_rejected_not_panicked() {
     )
     .unwrap();
     drop(store);
-    std::fs::write(dir.join("store.meta"), "not a superblock\n").unwrap();
-    match StripeStore::open(&dir) {
-        Err(Error::Meta(_)) => {}
-        Err(other) => panic!("expected Meta error, got {other:?}"),
-        Ok(_) => panic!("corrupted superblock must not open"),
+    for text in ["not a superblock\n", v2] {
+        std::fs::write(dir.join("store.meta"), text).unwrap();
+        match StripeStore::open(&dir) {
+            Err(Error::Meta(_)) => {}
+            Err(other) => panic!("expected Meta error, got {other:?}"),
+            Ok(_) => panic!("superblock {text:?} must not open"),
+        }
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
