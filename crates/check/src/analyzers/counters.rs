@@ -2,16 +2,13 @@
 //! consumed is dead weight; a metric name typo'd at one site splits a
 //! counter into two that nobody ever joins. Two checks:
 //!
-//! 1. every `AtomicU64` field of the store's `Counters` struct has
-//!    both a writer (`fetch_add`/`store`) and a reader (`load`) in the
-//!    store crate;
-//! 2. every *string-named* metric (the `registry.counter("…")` /
+//! 1. every *string-named* metric (the `registry.counter("…")` /
 //!    `snap.add_counter("…")` world) is mentioned at least twice
 //!    across code and docs — a name seen exactly once has no consumer
 //!    (or is a typo of one that does). `format!("dev.ops.{kind}")`
 //!    patterns and README `dev.ops.<kind>` placeholders unify via a
 //!    one-segment wildcard;
-//! 3. cache-tier counters (`cache.*` / `wb.*` — any name whose prefix
+//! 2. cache-tier counters (`cache.*` / `wb.*` — any name whose prefix
 //!    the obs registry's `metric_names` module reserves) are the
 //!    span-name rule one module over: declared exactly once as
 //!    constants, registered through those constants (a literal at a
@@ -25,9 +22,6 @@ use crate::lexer::{str_contents, TokKind};
 use crate::workspace::{SourceFile, Workspace};
 
 use super::spans::declared_names;
-
-/// Where the store's hard counters live.
-const STORE_RS: &str = "crates/store/src/store.rs";
 
 /// Where the reserved metric-name schema (`metric_names`) lives.
 const OBS_REGISTRY_RS: &str = "crates/obs/src/registry.rs";
@@ -65,102 +59,12 @@ pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
         .file(OBS_REGISTRY_RS)
         .map(declared_names)
         .unwrap_or_default();
-    check_atomic_counters(ws, out);
     check_named_metrics(ws, &declared, out);
     check_reserved_literals(ws, &declared, out);
     check_declared_metric_names(ws, &declared, out);
 }
 
-// ---- part 1: the Counters struct ----------------------------------
-
-fn check_atomic_counters(ws: &Workspace, out: &mut Vec<Finding>) {
-    let Some(store) = ws.file(STORE_RS) else {
-        return; // store.rs missing is its own (L4/L5) problem
-    };
-    let fields = struct_atomic_fields(store, "Counters");
-    let store_files: Vec<&SourceFile> = ws
-        .files
-        .iter()
-        .filter(|f| f.crate_name == "store")
-        .collect();
-    for (field, line) in fields {
-        let wrote = store_files
-            .iter()
-            .any(|f| has_member_call(f, &field, &["fetch_add", "store"]));
-        let read = store_files
-            .iter()
-            .any(|f| has_member_call(f, &field, &["load"]));
-        if !wrote || !read {
-            let what = if !wrote {
-                "never incremented"
-            } else {
-                "never read"
-            };
-            if store.waived("metric-ok", line) {
-                continue;
-            }
-            out.push(Finding::new(
-                Lint::CounterDiscipline,
-                STORE_RS,
-                line,
-                1,
-                format!(
-                    "Counters field `{field}` is {what} in crates/store; delete it or wire it up \
-                     (waive with `// check: metric-ok <reason>`)"
-                ),
-                &format!("Counters.{field} {what}"),
-            ));
-        }
-    }
-}
-
-/// `(field name, line)` for each `name: AtomicU64` field of `struct <name>`.
-fn struct_atomic_fields(f: &SourceFile, struct_name: &str) -> Vec<(String, u32)> {
-    let tf = &f.tf;
-    let n = tf.code.len();
-    let mut out = Vec::new();
-    let Some(at) = (0..n).find(|&ci| tf.is_ident(ci, "struct") && tf.is_ident(ci + 1, struct_name))
-    else {
-        return out;
-    };
-    let mut k = at + 2;
-    while k < n && !tf.is_punct(k, "{") {
-        k += 1;
-    }
-    let mut depth = 1i32;
-    k += 1;
-    while k < n && depth > 0 {
-        match tf.ctext(k) {
-            "{" | "(" => depth += 1,
-            "}" | ")" => depth -= 1,
-            // The ident straight before the `:` is the field name.
-            ":" if depth == 1
-                && tf.is_ident(k + 1, "AtomicU64")
-                && k >= 1
-                && tf.ctok(k - 1).kind == TokKind::Ident =>
-            {
-                out.push((tf.ctext(k - 1).to_string(), tf.ctok(k - 1).line));
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    out
-}
-
-/// `true` when the file contains `.<field>.<one of methods>(`.
-fn has_member_call(f: &SourceFile, field: &str, methods: &[&str]) -> bool {
-    let tf = &f.tf;
-    (0..tf.code.len()).any(|ci| {
-        tf.is_punct(ci, ".")
-            && tf.is_ident(ci + 1, field)
-            && tf.is_punct(ci + 2, ".")
-            && methods.iter().any(|m| tf.is_ident(ci + 3, m))
-            && tf.is_punct(ci + 4, "(")
-    })
-}
-
-// ---- part 2: string-named metrics ---------------------------------
+// ---- part 1: string-named metrics ---------------------------------
 
 fn check_named_metrics(
     ws: &Workspace,
@@ -337,9 +241,9 @@ fn collect_code_mentions(f: &SourceFile, by_ident: &BTreeMap<&str, &str>, out: &
     }
 }
 
-// ---- part 3: the reserved metric-name schema ----------------------
+// ---- part 2: the reserved metric-name schema ----------------------
 
-/// Check 3a: a string literal at a metric sink whose leading segment
+/// Check 2a: a string literal at a metric sink whose leading segment
 /// the `metric_names` module reserves, anywhere but the declaring
 /// file. Mirrors the span-discipline literal rule: matching a declared
 /// name means "use the constant", not matching means the name forked
@@ -424,7 +328,7 @@ fn check_reserved_literals(
     }
 }
 
-/// Check 3b: every declared metric constant must be registered by some
+/// Check 2b: every declared metric constant must be registered by some
 /// other file *and* documented — dead schema and undocumented
 /// counters are both drift.
 fn check_declared_metric_names(

@@ -1,23 +1,5 @@
-// Fixture: true positives for counter-discipline. `dead_counter` is
-// declared but never touched; `orphan.metric` is registered exactly
-// once with nothing consuming it.
-use std::sync::atomic::{AtomicU64, Ordering};
-
-pub(crate) struct Counters {
-    live_counter: AtomicU64,
-    dead_counter: AtomicU64,
-}
-
-impl Counters {
-    pub fn bump(&self) {
-        self.live_counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn read(&self) -> u64 {
-        self.live_counter.load(Ordering::Relaxed)
-    }
-}
-
+// Fixture: true positive for counter-discipline. `orphan.metric` is
+// registered exactly once with nothing consuming it.
 pub fn register(registry: &Registry) {
     registry.counter("orphan.metric");
 }

@@ -1,23 +1,6 @@
-// Fixture: near-miss negatives for counter-discipline. Every counter
-// field has a writer and a reader; every metric name has a second
-// mention — a literal matching a format! pattern, a waived one-off,
-// and a plain string that is not a metric at all.
-use std::sync::atomic::{AtomicU64, Ordering};
-
-pub(crate) struct Counters {
-    used_counter: AtomicU64,
-}
-
-impl Counters {
-    pub fn bump(&self) {
-        self.used_counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn read(&self) -> u64 {
-        self.used_counter.load(Ordering::Relaxed)
-    }
-}
-
+// Fixture: near-miss negatives for counter-discipline. Every metric
+// name has a second mention — a literal matching a format! pattern, a
+// waived one-off, and a plain string that is not a metric at all.
 pub fn register(registry: &Registry, kind: &str) {
     registry.counter(&format!("fix.ops.{kind}"));
     registry.counter("fix.ops.read");

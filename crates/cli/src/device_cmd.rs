@@ -30,7 +30,7 @@
 //! is identical across backends.
 //!
 //! `SPEC` is a `stair_device::DeviceSpec`: `file:<dir>`,
-//! `shards:<root>[?n=K]`, `tcp:<host:port>[?lanes=L]`, or
+//! `shards:<root>[?n=K]`, `tcp:<host:port>`, or
 //! `cache:<inner>`, so every backend runs the identical code and prints
 //! the identical output. `shutdown` is the one verb that is not a
 //! device operation: it asks a `stair serve` process to exit, so it
@@ -59,7 +59,7 @@ pub const DEV_USAGE: &str = "usage:
   stair dev metrics --dev SPEC [--json] [--from SCRIPT]
   stair dev trace   --dev SPEC [--json] [--from SCRIPT]
   stair dev shutdown --dev tcp:<host:port>
-  (SPEC: file:<dir> | shards:<root>[?n=K] | tcp:<host:port>[?lanes=L]
+  (SPEC: file:<dir> | shards:<root>[?n=K] | tcp:<host:port>
          | cache:<inner>[?mb=M&wb=on|off&interval_ms=T])
   (SCRIPT lines: `read <offset> <len>` | `write <offset> <hex-bytes>`;
    `#` comments and blank lines ignored; results print as JSON)

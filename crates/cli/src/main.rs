@@ -13,7 +13,7 @@
 //! `inject` are the other verbs that need a local store. `stair serve`
 //! hosts a sharded store over the stair-net protocol. `stair dev`
 //! drives *any* backend through the unified `BlockDevice` API —
-//! `--dev file:<dir>`, `shards:<root>?n=K`, `tcp:<addr>?lanes=L`, or
+//! `--dev file:<dir>`, `shards:<root>?n=K`, `tcp:<addr>`, or
 //! `cache:<inner>` — and is the one data path for all of them.
 
 #![forbid(unsafe_code)]

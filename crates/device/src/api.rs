@@ -107,8 +107,8 @@ pub trait BlockDevice: Send + Sync {
     /// The default returns an empty snapshot, so implementors without
     /// native instrumentation stay source-compatible. Backends with
     /// their own registries override it (a stripe store folds in its
-    /// `IoStats` and the GF kernel counters; a remote client pulls the
-    /// server's registry over the wire); the
+    /// `store.*` registry and the GF kernel counters; a remote client
+    /// pulls the server's registry over the wire); the
     /// [`Instrumented`](crate::Instrumented) wrapper adds per-op
     /// latency/byte accounting in front of any of them.
     ///

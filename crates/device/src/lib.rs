@@ -2,7 +2,7 @@
 //!
 //! PRs 1–3 grew three parallel storage surfaces — the local
 //! [`StripeStore`], the in-process sharded `ShardSet`, and the TCP
-//! `Client`/`StripedClient` — that each re-declared
+//! `Client` — that each re-declared
 //! `read_at`/`write_at`/`status`/`scrub`/`repair` with divergent
 //! receivers, error types, and report structs. This crate is the layer
 //! that collapses them, exactly as `stair-code`'s `ErasureCode` trait
@@ -26,7 +26,7 @@
 //!   / **[`RepairOutcome`]** — unified report types replacing the
 //!   per-backend `WriteReport`/`WriteSummary`/`ScrubReport`/… zoo;
 //! * **[`DeviceSpec`]** — the URI-style grammar (`file:<dir>`,
-//!   `shards:<root>?n=4`, `tcp:<addr>?lanes=4`) naming a backend; the
+//!   `shards:<root>?n=4`, `tcp:<addr>`) naming a backend; the
 //!   `open_device()` registry in `stair-net` turns a spec into a live
 //!   `Box<dyn BlockDevice>`, mirroring `stair_store::build_codec()`.
 //!

@@ -14,8 +14,7 @@ use crate::DeviceError;
 /// ```text
 /// file:<dir>              a single local stripe store
 /// shards:<root>[?n=<k>]   a sharded set under <root> (n asserts the count)
-/// tcp:<host:port>[?lanes=<l>]   a remote server (lanes > 1 stripes the
-///                               transfer over that many connections)
+/// tcp:<host:port>         a remote server
 /// cache:<inner>[?mb=<m>&wb=on|off&interval_ms=<t>]
 ///                         a tiered cache in front of any inner spec
 /// ```
@@ -23,8 +22,9 @@ use crate::DeviceError;
 /// `cache:` wraps another spec; its own keys (`mb` — read budget in
 /// MiB, `wb` — write-back on/off, `interval_ms` — group-commit
 /// interval) and the inner spec's keys share one query string, split
-/// by key (so `cache:tcp:h:p?lanes=2&mb=8` gives the lanes to `tcp:`
-/// and the budget to the cache). Nested `cache:` specs are rejected.
+/// by key (so `cache:shards:/srv?n=4&mb=8` gives the count to
+/// `shards:` and the budget to the cache). Nested `cache:` specs are
+/// rejected.
 ///
 /// # Example
 ///
@@ -34,7 +34,7 @@ use crate::DeviceError;
 /// let spec: DeviceSpec = "shards:/srv/stair?n=4".parse()?;
 /// assert_eq!(spec.to_string(), "shards:/srv/stair?n=4");
 /// assert_eq!(spec.scheme(), "shards");
-/// assert_eq!("tcp:10.0.0.1:7070?lanes=4".parse::<DeviceSpec>()?.scheme(), "tcp");
+/// assert_eq!("tcp:10.0.0.1:7070".parse::<DeviceSpec>()?.scheme(), "tcp");
 /// # Ok::<(), stair_device::DeviceError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,8 +56,6 @@ pub enum DeviceSpec {
     Tcp {
         /// `host:port` of the server.
         addr: String,
-        /// Connections to stripe transfers over (≥ 1).
-        lanes: usize,
     },
     /// A tiered cache (block-granular CLOCK read tier plus an optional
     /// write-back tier) in front of another backend.
@@ -104,13 +102,7 @@ impl fmt::Display for DeviceSpec {
                 }
                 Ok(())
             }
-            DeviceSpec::Tcp { addr, lanes } => {
-                write!(f, "tcp:{addr}")?;
-                if *lanes > 1 {
-                    write!(f, "?lanes={lanes}")?;
-                }
-                Ok(())
-            }
+            DeviceSpec::Tcp { addr } => write!(f, "tcp:{addr}"),
             DeviceSpec::Cache {
                 inner,
                 mb,
@@ -221,30 +213,17 @@ impl FromStr for DeviceSpec {
                 if addr.is_empty() {
                     return Err(bad("tcp expects host:port, e.g. tcp:127.0.0.1:7070"));
                 }
-                let mut lanes = 1;
-                let mut seen = false;
-                for (key, value) in params {
-                    match key {
-                        "lanes" if !seen => {
-                            lanes = int("lanes", value)?;
-                            if lanes == 0 {
-                                return Err(bad("lanes must be at least 1"));
-                            }
-                            seen = true;
-                        }
-                        "lanes" => return Err(bad("duplicate query parameter lanes")),
-                        other => return Err(bad(&format!("unknown query parameter `{other}`"))),
-                    }
+                if let Some((key, _)) = params.first() {
+                    return Err(bad(&format!("unknown query parameter `{key}`")));
                 }
                 Ok(DeviceSpec::Tcp {
                     addr: addr.to_string(),
-                    lanes,
                 })
             }
             "cache" => {
                 // Cache keys and inner-spec keys share one query
                 // string; split by key, then hand the rest back to the
-                // inner parse so `cache:tcp:h:p?lanes=2&mb=8` works.
+                // inner parse so `cache:shards:/srv?n=4&mb=8` works.
                 let (target, params) = split_query(rest, &bad)?;
                 if target.is_empty() {
                     return Err(bad(
@@ -324,12 +303,11 @@ mod tests {
             "shards:/srv/stair",
             "shards:/srv/stair?n=4",
             "tcp:127.0.0.1:7070",
-            "tcp:127.0.0.1:7070?lanes=4",
             "tcp:example.net:9",
             "cache:file:/srv/store",
             "cache:file:/srv/store?mb=8",
             "cache:shards:/srv/stair?n=4&mb=8",
-            "cache:tcp:127.0.0.1:7070?lanes=2&mb=8&wb=on&interval_ms=25",
+            "cache:tcp:127.0.0.1:7070?mb=8&wb=on&interval_ms=25",
             "cache:tcp:h:1?wb=on",
         ] {
             let spec: DeviceSpec = text.parse().unwrap();
@@ -352,24 +330,23 @@ mod tests {
                 shards: Some(3)
             }
         );
-        // tcp addr keeps its own colon; lanes defaults to 1.
+        // tcp addr keeps its own colon.
         assert_eq!(
             "tcp:10.1.2.3:7070".parse::<DeviceSpec>().unwrap(),
             DeviceSpec::Tcp {
                 addr: "10.1.2.3:7070".into(),
-                lanes: 1
             }
         );
-        // cache splits its shared query string by key: lanes goes to
-        // the inner tcp spec, mb/wb/interval_ms stay with the cache.
+        // cache splits its shared query string by key: n goes to the
+        // inner shards spec, mb/wb/interval_ms stay with the cache.
         assert_eq!(
-            "cache:tcp:h:1?lanes=2&mb=8&wb=on&interval_ms=25"
+            "cache:shards:/r?n=2&mb=8&wb=on&interval_ms=25"
                 .parse::<DeviceSpec>()
                 .unwrap(),
             DeviceSpec::Cache {
-                inner: Box::new(DeviceSpec::Tcp {
-                    addr: "h:1".into(),
-                    lanes: 2
+                inner: Box::new(DeviceSpec::Shards {
+                    root: PathBuf::from("/r"),
+                    shards: Some(2)
                 }),
                 mb: 8,
                 wb: true,
@@ -399,12 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn lanes_of_one_renders_bare() {
-        let spec: DeviceSpec = "tcp:h:1?lanes=1".parse().unwrap();
-        assert_eq!(spec.to_string(), "tcp:h:1");
-    }
-
-    #[test]
     fn bad_schemes_are_rejected() {
         for text in ["", "justapath", "nfs:/x", "FILE:/x", "file", "tcp"] {
             assert!(
@@ -427,9 +398,6 @@ mod tests {
             "shards:/x?k=2",
             "shards:/x?n",
             "tcp:",
-            "tcp:h:1?lanes=0",
-            "tcp:h:1?lanes=a",
-            "tcp:h:1?lanes=2&lanes=3",
             "tcp:h:1?window=8",
             "cache:",
             "cache:file:/x?mb=0",
@@ -446,6 +414,14 @@ mod tests {
             assert!(
                 matches!(err, DeviceError::Spec(_)),
                 "`{text}` should fail as a spec error, got {err:?}"
+            );
+        }
+        // `tcp:` takes no query parameters, bare or under `cache:`.
+        for text in ["tcp:h:1?lanes=2", "cache:tcp:h:1?lanes=2&mb=8"] {
+            let err = text.parse::<DeviceSpec>().unwrap_err().to_string();
+            assert!(
+                err.contains("unknown query parameter `lanes`"),
+                "`{text}` gave {err}"
             );
         }
     }

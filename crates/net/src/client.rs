@@ -11,9 +11,8 @@
 //! simple and the pipelined path.
 //!
 //! **Batches** ([`Client::submit`]) ship many ops in one BATCH frame —
-//! one round trip instead of one per op — and [`StripedClient::submit`]
-//! splits a batch by placement so each touched shard gets exactly one
-//! request frame, executed across the lanes in parallel.
+//! one round trip instead of one per op. The server splits each frame
+//! by placement and runs the touched shards in parallel.
 //!
 //! **Resilience**: a broken connection is not a dead client. Any call
 //! that hits a transport error drops the connection and the next call
@@ -614,229 +613,6 @@ fn batch_frames(ops: &[IoOp]) -> Vec<Frame> {
     frames
 }
 
-/// A multi-connection client: each transfer is split into one
-/// contiguous piece per connection and the pieces run on scoped
-/// threads, so a single caller can keep several server workers busy.
-pub struct StripedClient {
-    lanes: Vec<Client>,
-}
-
-impl StripedClient {
-    /// Opens `lanes` connections to `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first connection failure.
-    pub fn connect(addr: &str, lanes: usize) -> Result<Self, NetError> {
-        if lanes == 0 {
-            return Err(NetError::Protocol("need at least one lane".into()));
-        }
-        let lanes = (0..lanes)
-            .map(|_| Client::connect(addr))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(StripedClient { lanes })
-    }
-
-    /// Number of connections.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// The first lane — control-plane calls (status, scrub, …) go down
-    /// one connection.
-    pub(crate) fn lane0(&self) -> &Client {
-        &self.lanes[0]
-    }
-
-    /// What the server announced at HELLO time.
-    pub fn info(&self) -> ServerInfo {
-        self.lanes[0].info().clone()
-    }
-
-    /// Pulls the server's metrics snapshot down lane 0 (the metrics are
-    /// server-side and connection-independent, so one lane suffices).
-    ///
-    /// # Errors
-    ///
-    /// Transport or server failures.
-    pub fn metrics(&self) -> Result<stair_obs::MetricsSnapshot, NetError> {
-        self.lane0().metrics()
-    }
-
-    /// Pulls the server's flight recorder down lane 0 (the recorder is
-    /// process-wide server-side, so one lane sees every trace).
-    ///
-    /// # Errors
-    ///
-    /// Transport or server failures.
-    pub fn pull_traces(&self) -> Result<Vec<WireTrace>, NetError> {
-        self.lane0().pull_traces()
-    }
-
-    /// Splits `[0, len)` into one contiguous piece per lane.
-    fn pieces(&self, len: usize) -> Vec<(usize, usize)> {
-        let lanes = self.lanes.len();
-        let base = len / lanes;
-        let extra = len % lanes;
-        let mut out = Vec::with_capacity(lanes);
-        let mut at = 0;
-        for lane in 0..lanes {
-            let piece = base + usize::from(lane < extra);
-            out.push((at, piece));
-            at += piece;
-        }
-        out
-    }
-
-    /// Reads `len` bytes at `offset`, one piece per connection in
-    /// parallel.
-    ///
-    /// # Errors
-    ///
-    /// The first lane failure wins.
-    pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, NetError> {
-        let pieces = self.pieces(len);
-        let mut out = vec![0u8; len];
-        // Carve `out` into disjoint mutable chunks, one per lane.
-        let mut chunks: Vec<&mut [u8]> = Vec::with_capacity(pieces.len());
-        let mut rest = out.as_mut_slice();
-        for &(_, piece_len) in &pieces {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(piece_len);
-            chunks.push(head);
-            rest = tail;
-        }
-        let ctx = trace::current();
-        let results: Vec<Result<(), NetError>> = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for ((lane, &(start, piece_len)), chunk) in
-                self.lanes.iter().zip(pieces.iter()).zip(chunks)
-            {
-                handles.push(scope.spawn(move |_| {
-                    let _trace = trace::enter_ctx(ctx);
-                    if piece_len == 0 {
-                        return Ok(());
-                    }
-                    let data = lane.read_at(offset + start as u64, piece_len)?;
-                    chunk.copy_from_slice(&data);
-                    Ok(())
-                }));
-            }
-            handles
-                .into_iter()
-                // check: panic-ok a panicked lane thread is a bug — propagate, don't mask as NetError
-                .map(|h| h.join().expect("lane thread panicked"))
-                .collect()
-        })
-        // check: panic-ok crossbeam scope only errs if a child panicked; propagate
-        .expect("lane scope");
-        for r in results {
-            r?;
-        }
-        Ok(out)
-    }
-
-    /// Writes `data` at `offset`, one piece per connection in parallel.
-    ///
-    /// # Errors
-    ///
-    /// The first lane failure wins.
-    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteSummary, NetError> {
-        let pieces = self.pieces(data.len());
-        let ctx = trace::current();
-        let results: Vec<Result<WriteSummary, NetError>> = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (lane, &(start, piece_len)) in self.lanes.iter().zip(pieces.iter()) {
-                handles.push(scope.spawn(move |_| {
-                    let _trace = trace::enter_ctx(ctx);
-                    if piece_len == 0 {
-                        return Ok(WriteSummary::default());
-                    }
-                    lane.write_at(offset + start as u64, &data[start..start + piece_len])
-                }));
-            }
-            handles
-                .into_iter()
-                // check: panic-ok a panicked lane thread is a bug — propagate, don't mask as NetError
-                .map(|h| h.join().expect("lane thread panicked"))
-                .collect()
-        })
-        // check: panic-ok crossbeam scope only errs if a child panicked; propagate
-        .expect("lane scope");
-        let mut total = WriteSummary::default();
-        for r in results {
-            total.absorb(&r?);
-        }
-        Ok(total)
-    }
-
-    /// Submits a batch with **one request frame per touched shard**:
-    /// ops are grouped by the server's placement map (reconstructed
-    /// from the HELLO geometry), each shard group ships as a single
-    /// BATCH frame, and the groups run across the lanes in parallel.
-    ///
-    /// # Errors
-    ///
-    /// Span errors surface before anything is sent; afterwards the
-    /// first shard failure wins.
-    pub fn submit(&self, batch: &IoBatch) -> Result<BatchResult, NetError> {
-        let info = self.lanes[0].info();
-        let placement = info.placement()?;
-        let groups = crate::placement::split_batch(&placement, batch.ops())?;
-        let mut results = seed_results(batch.ops());
-        // Rebuild each fragment with its *global* offset (split_batch
-        // localizes offsets for in-process shard stores; the wire
-        // speaks the global space) — the grouping is what we're after.
-        let work: Vec<(usize, Vec<IoOp>, StitchMap)> = groups
-            .into_iter()
-            .map(|g| {
-                let ops = g
-                    .ops
-                    .into_iter()
-                    .zip(&g.map)
-                    .map(|(local, &(op_idx, span_off))| {
-                        let offset = batch.ops()[op_idx].offset() + span_off as u64;
-                        match local {
-                            IoOp::Read { len, .. } => IoOp::Read { offset, len },
-                            IoOp::Write { data, .. } => IoOp::Write { offset, data },
-                        }
-                    })
-                    .collect();
-                (g.shard, ops, g.map)
-            })
-            .collect();
-        // One touched shard sends inline — no lane threads at width 1.
-        let subs: Vec<(StitchMap, Result<BatchResult, NetError>)> = if work.len() == 1 {
-            // check: panic-ok guarded by work.len() == 1 on the line above
-            let (shard, ops, map) = work.into_iter().next().expect("one group");
-            let lane = &self.lanes[shard % self.lanes.len()];
-            vec![(map, lane.submit(&IoBatch::from(ops)))]
-        } else {
-            let ctx = trace::current();
-            crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (shard, ops, map) in work {
-                    let lane = &self.lanes[shard % self.lanes.len()];
-                    handles.push(scope.spawn(move |_| {
-                        let _trace = trace::enter_ctx(ctx);
-                        (map, lane.submit(&IoBatch::from(ops)))
-                    }));
-                }
-                handles
-                    .into_iter()
-                    // check: panic-ok a panicked lane thread is a bug — propagate, don't mask as NetError
-                    .map(|h| h.join().expect("lane batch thread"))
-                    .collect()
-            })
-            // check: panic-ok crossbeam scope only errs if a child panicked; propagate
-            .expect("lane scope")
-        };
-        for (map, sub) in subs {
-            crate::device_impl::stitch(&mut results, &map, sub?.results)?;
-        }
-        Ok(BatchResult::from_results(results))
-    }
-}
-
 /// Mints a process-unique nonzero batch id (0 means "unassigned" on
 /// the wire, so the counter starts at 1).
 fn next_batch_id() -> u64 {
@@ -887,7 +663,6 @@ mod tests {
     fn clients_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Client>();
-        assert_send_sync::<StripedClient>();
     }
 
     #[test]

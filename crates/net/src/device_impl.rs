@@ -11,7 +11,7 @@ use stair_store::{shard_health, StoreStatus, StripeStore};
 
 use crate::placement::split_batch;
 use crate::protocol::{RepairSummary, ScrubSummary, WriteSummary};
-use crate::{Client, NetError, ShardSet, StripedClient};
+use crate::{Client, NetError, ShardSet};
 
 /// Opens the backend a spec names as a data-path device.
 ///
@@ -51,13 +51,7 @@ pub fn open_admin(spec: &DeviceSpec) -> Result<Box<dyn stair_device::AdminDevice
             }
             Box::new(set)
         }
-        DeviceSpec::Tcp { addr, lanes } => {
-            if *lanes <= 1 {
-                Box::new(Client::connect(addr)?)
-            } else {
-                Box::new(StripedClient::connect(addr, *lanes)?)
-            }
-        }
+        DeviceSpec::Tcp { addr } => Box::new(Client::connect(addr)?),
         DeviceSpec::Cache {
             inner,
             mb,
@@ -105,7 +99,7 @@ pub(crate) fn write_outcome(w: &WriteSummary) -> WriteOutcome {
 /// Stitches one sub-batch's results back into the global result slots:
 /// `map[j]` names the global op and the byte offset sub-op `j` covers.
 /// Read bytes are copied into place; write outcomes fold additively.
-pub(crate) fn stitch(
+fn stitch(
     results: &mut [OpResult],
     map: &[(usize, usize)],
     sub: Vec<OpResult>,
@@ -276,7 +270,7 @@ impl FaultAdmin for ShardSet {
 }
 
 // ---------------------------------------------------------------------
-// tcp: — the remote clients
+// tcp: — the remote client
 // ---------------------------------------------------------------------
 
 impl BlockDevice for Client {
@@ -337,66 +331,5 @@ impl FaultAdmin for Client {
         Ok(Client::corrupt_sectors(
             self, shard, device, stripe, row, len,
         )?)
-    }
-}
-
-impl BlockDevice for StripedClient {
-    fn capacity(&self) -> u64 {
-        self.info().capacity
-    }
-
-    fn block_size(&self) -> usize {
-        self.info().block_size as usize
-    }
-
-    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, DeviceError> {
-        Ok(StripedClient::read_at(self, offset, len)?)
-    }
-
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
-        Ok(write_outcome(&StripedClient::write_at(self, offset, data)?))
-    }
-
-    fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {
-        Ok(StripedClient::submit(self, batch)?)
-    }
-
-    fn flush(&self) -> Result<(), DeviceError> {
-        Ok(self.lane0().flush()?)
-    }
-
-    fn status(&self) -> Result<DeviceStatus, DeviceError> {
-        device_status("tcp", &self.lane0().status()?)
-    }
-
-    fn scrub(&self, threads: usize) -> Result<ScrubOutcome, DeviceError> {
-        Ok(scrub_outcome(&self.lane0().scrub(threads)?))
-    }
-
-    fn repair(&self, threads: usize) -> Result<RepairOutcome, DeviceError> {
-        Ok(repair_outcome(&self.lane0().repair(threads)?))
-    }
-
-    fn metrics(&self) -> Result<stair_obs::MetricsSnapshot, DeviceError> {
-        Ok(StripedClient::metrics(self)?)
-    }
-}
-
-impl FaultAdmin for StripedClient {
-    fn fail_device(&self, shard: usize, device: usize) -> Result<(), DeviceError> {
-        Ok(self.lane0().fail_device(shard, device)?)
-    }
-
-    fn corrupt_sectors(
-        &self,
-        shard: usize,
-        device: usize,
-        stripe: usize,
-        row: usize,
-        len: usize,
-    ) -> Result<(), DeviceError> {
-        Ok(self
-            .lane0()
-            .corrupt_sectors(shard, device, stripe, row, len)?)
     }
 }

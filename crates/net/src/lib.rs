@@ -17,9 +17,8 @@
 //!   reader thread per connection, a fixed worker pool, and per-shard
 //!   write batching so adjacent small writes coalesce into a single
 //!   parity-delta pass in the store;
-//! * **[`Client`] / [`StripedClient`]** — blocking, connection-reusing
-//!   clients; the striped variant fans one transfer out over several
-//!   connections;
+//! * **[`Client`]** — a blocking, connection-reusing client that
+//!   pipelines large transfers and ships batches in one round trip;
 //! * **[`json`]** — a dependency-free JSON builder for the `--json`
 //!   surfaces of the CLI and benchmarks;
 //! * **[`open_device`] / [`open_admin`]** — the registry turning a
@@ -65,7 +64,7 @@ pub mod protocol;
 mod server;
 mod shards;
 
-pub use client::{Client, StripedClient};
+pub use client::Client;
 pub use device_impl::{open_admin, open_device};
 pub use error::NetError;
 pub use placement::{Placement, ShardSpan};

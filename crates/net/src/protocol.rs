@@ -329,47 +329,11 @@ pub struct ServerInfo {
     pub capacity: u64,
     /// Logical block size in bytes.
     pub block_size: u32,
-    /// Blocks per placement range (= blocks per stripe; the placement
-    /// unit that maps ranges round-robin onto shards).
+    /// Logical blocks per stripe: the server maps consecutive runs of
+    /// this many blocks round-robin onto its shards.
     pub range_blocks: u32,
     /// The codec spec string every shard runs.
     pub codec: String,
-}
-
-impl ServerInfo {
-    /// Reconstructs the server's placement map from the HELLO geometry
-    /// — what lets a client group a batch by shard without a second
-    /// round trip.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Protocol`] when the announced geometry is degenerate
-    /// (zero shards/blocks, or a capacity that does not tile into
-    /// whole ranges).
-    pub fn placement(&self) -> Result<crate::Placement, NetError> {
-        let range_bytes = u64::from(self.range_blocks) * u64::from(self.block_size);
-        if self.shards == 0 || range_bytes == 0 {
-            return Err(NetError::Protocol(format!(
-                "degenerate server geometry: {} shard(s) of {}-byte ranges",
-                self.shards, range_bytes
-            )));
-        }
-        let ranges_per_shard = self.capacity / range_bytes / u64::from(self.shards);
-        if ranges_per_shard == 0
-            || ranges_per_shard * range_bytes * u64::from(self.shards) != self.capacity
-        {
-            return Err(NetError::Protocol(format!(
-                "server capacity {} does not tile into {} shard(s) of {}-byte ranges",
-                self.capacity, self.shards, range_bytes
-            )));
-        }
-        Ok(crate::Placement::new(
-            self.shards as usize,
-            self.range_blocks as usize,
-            ranges_per_shard as usize,
-            self.block_size as usize,
-        ))
-    }
 }
 
 /// One shard's health snapshot on the wire (mirrors

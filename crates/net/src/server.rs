@@ -485,10 +485,12 @@ fn worker_loop(state: &State, shards: &ShardSet, info: &ServerInfo, batch: usize
                     g.fail();
                 }
             }
-            job.writer.send(job.id, &resp);
-            // The root closes only after the response frame is written,
-            // so the server span covers the write-back too.
+            // The root closes before the response frame is written, so
+            // the server trace is recorded by the time the client has
+            // its answer and never outlasts the client span waiting on
+            // it.
             drop(root);
+            job.writer.send(job.id, &resp);
         }
     }
 }
@@ -579,8 +581,8 @@ fn execute_write_batch(shards: &ShardSet, registry: &MetricsRegistry, writes: Ve
             if let (Some(g), Response::Error(_)) = (root.as_mut(), &resp) {
                 g.fail();
             }
-            w.writer.send(w.id, &resp);
             drop(root);
+            w.writer.send(w.id, &resp);
         }
         return;
     }
@@ -616,6 +618,8 @@ fn execute_write_batch(shards: &ShardSet, registry: &MetricsRegistry, writes: Ve
                 g.fail();
             }
         }
+        // Roots close before any member response is written.
+        drop(roots);
         // Each coalesced member counts as its own request (with its own
         // byte count) but shares the run's store-pass latency.
         for &m in &members {
@@ -649,8 +653,6 @@ fn execute_write_batch(shards: &ShardSet, registry: &MetricsRegistry, writes: Ve
             };
             w.writer.send(w.id, &resp);
         }
-        // Roots close after the member responses are written.
-        drop(roots);
     }
 }
 

@@ -6,8 +6,8 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use stair_device::{BlockDevice, IoBatch, IoOp, OpResult};
-use stair_net::{Client, Server, ServerConfig, ShardSet, StripedClient};
+use stair_device::{IoBatch, IoOp, OpResult};
+use stair_net::{Client, Server, ServerConfig, ShardSet};
 use stair_store::{StoreOptions, StripeStore};
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -33,7 +33,8 @@ struct Harness {
 }
 
 /// Boots an in-process server over fresh shards, keeping cloned store
-/// handles so tests can read `io_stats()` for traffic the server served.
+/// handles so tests can read `store_metrics()` for traffic the server
+/// served.
 fn serve(tag: &str, shards: usize, opts: &StoreOptions) -> Harness {
     let dir = tmpdir(tag);
     let set = ShardSet::create(&dir, shards, opts).expect("create shards");
@@ -88,13 +89,14 @@ fn one_stripe_batch_is_one_frame_and_one_parity_pass_over_tcp() {
         batch.write(block * sym, data);
     }
 
-    let before = h.stores[0].io_stats();
+    let before = h.stores[0].store_metrics();
     let result = client.submit(&batch).expect("submit");
-    let after = h.stores[0].io_stats();
+    let after = h.stores[0].store_metrics();
 
-    assert_eq!(after.stripe_locks - before.stripe_locks, 1);
-    assert_eq!(after.encode_passes - before.encode_passes, 1);
-    assert_eq!(after.delta_update_calls, before.delta_update_calls);
+    let grew = |name| after.counter(name).unwrap() - before.counter(name).unwrap();
+    assert_eq!(grew("store.stripe_locks"), 1);
+    assert_eq!(grew("store.encode_passes"), 1);
+    assert_eq!(grew("store.delta_update_calls"), 0);
 
     assert_eq!(result.results.len(), 64);
     assert_eq!(result.write.full_stripe_encodes, 1);
@@ -105,10 +107,8 @@ fn one_stripe_batch_is_one_frame_and_one_parity_pass_over_tcp() {
     h.stop();
 }
 
-/// A mixed cross-shard batch through both client flavors returns
-/// per-op results identical to the per-op path, and the striped client
-/// sends one frame per shard (each shard's store sees exactly one
-/// batched pass per touched stripe).
+/// A mixed cross-shard batch returns per-op results identical to the
+/// per-op path.
 #[test]
 fn cross_shard_batches_match_per_op_semantics() {
     let h = serve(
@@ -136,28 +136,25 @@ fn cross_shard_batches_match_per_op_semantics() {
         .read(range * 2 - 10, 20); // crosses the shard 1 → 2 boundary
     assert!(!batch.has_conflicts());
 
-    let striped = StripedClient::connect(&h.addr, 2).expect("striped");
-    for dev in [&client as &dyn BlockDevice, &striped as &dyn BlockDevice] {
-        let result = dev.submit(&batch).expect("submit");
-        let mut expected = base.clone();
-        for op in batch.ops() {
-            if let IoOp::Write { offset, data } = op {
-                expected[*offset as usize..*offset as usize + data.len()].copy_from_slice(data);
-            }
+    let result = client.submit(&batch).expect("submit");
+    let mut expected = base.clone();
+    for op in batch.ops() {
+        if let IoOp::Write { offset, data } = op {
+            expected[*offset as usize..*offset as usize + data.len()].copy_from_slice(data);
         }
-        for (op, got) in batch.ops().iter().zip(&result.results) {
-            match (op, got) {
-                (IoOp::Read { offset, len }, OpResult::Read(data)) => {
-                    assert_eq!(data, &expected[*offset as usize..*offset as usize + len]);
-                }
-                (IoOp::Write { data, .. }, OpResult::Write(w)) => {
-                    assert_eq!(w.bytes, data.len() as u64);
-                }
-                other => panic!("result kind mismatch: {other:?}"),
-            }
-        }
-        assert_eq!(dev.read_at(0, capacity).expect("verify"), expected);
     }
+    for (op, got) in batch.ops().iter().zip(&result.results) {
+        match (op, got) {
+            (IoOp::Read { offset, len }, OpResult::Read(data)) => {
+                assert_eq!(data, &expected[*offset as usize..*offset as usize + len]);
+            }
+            (IoOp::Write { data, .. }, OpResult::Write(w)) => {
+                assert_eq!(w.bytes, data.len() as u64);
+            }
+            other => panic!("result kind mismatch: {other:?}"),
+        }
+    }
+    assert_eq!(client.read_at(0, capacity).expect("verify"), expected);
     h.stop();
 }
 

@@ -1,7 +1,7 @@
 //! Trait-conformance suite: the *same* generic scripts run unchanged
 //! against every `BlockDevice` backend — a local `StripeStore`
 //! (`file:`), an in-process `ShardSet` (`shards:`), and a loopback TCP
-//! `Client` / `StripedClient` (`tcp:`) — and must observe identical
+//! `Client` (`tcp:`) — and must observe identical
 //! behavior: round-trip reads, degraded reads after injected faults,
 //! scrub detection, online repair, and a consistent status shape.
 //!
@@ -182,18 +182,6 @@ fn tcp_backend_conforms() {
     let admin = open_admin(&spec).expect("open tcp device");
     exercise(admin.as_ref());
     exercise_faults(admin.as_ref(), admin.as_ref(), 1);
-    drop(admin);
-    shutdown(&addr, handle);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn striped_tcp_backend_conforms() {
-    let (addr, handle, dir) = start_server("striped", 2);
-    let spec: DeviceSpec = format!("tcp:{addr}?lanes=3").parse().unwrap();
-    let admin = open_admin(&spec).expect("open striped tcp device");
-    exercise(admin.as_ref());
-    exercise_faults(admin.as_ref(), admin.as_ref(), 0);
     drop(admin);
     shutdown(&addr, handle);
     std::fs::remove_dir_all(&dir).unwrap();

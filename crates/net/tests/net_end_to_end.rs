@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
-use stair_net::{Client, NetError, Server, ServerConfig, ShardSet, StripedClient};
+use stair_net::{Client, NetError, Server, ServerConfig, ShardSet};
 use stair_store::StoreOptions;
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -137,27 +137,6 @@ fn eight_clients_mixed_rw_with_mid_traffic_device_failure() {
     let status = admin.status().expect("status after repair");
     assert!(status.iter().all(|s| s.failed_devices.is_empty()));
 
-    admin.shutdown_server().expect("shutdown");
-    server.join().expect("server thread").expect("server run");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn striped_client_round_trips_across_lanes() {
-    let (addr, server, dir) = start_server("striped", 3, 4);
-    let striped = StripedClient::connect(&addr, 4).expect("striped connect");
-    let capacity = striped.info().capacity as usize;
-    let payload = pattern(capacity, 7);
-    let summary = striped.write_at(0, &payload).expect("striped write");
-    assert_eq!(summary.bytes as usize, capacity);
-    assert_eq!(striped.read_at(0, capacity).expect("striped read"), payload);
-    // Unaligned sub-span.
-    assert_eq!(
-        striped.read_at(1001, 2003).expect("sub-span"),
-        payload[1001..3004].to_vec()
-    );
-
-    let admin = Client::connect(&addr).expect("admin");
     admin.shutdown_server().expect("shutdown");
     server.join().expect("server thread").expect("server run");
     std::fs::remove_dir_all(&dir).unwrap();

@@ -11,7 +11,6 @@
 //! structure and durations are comparable).
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use stair_device::IoBatch;
 use stair_net::protocol::PROTOCOL_VERSION;
@@ -103,25 +102,9 @@ fn traced_batch_yields_a_contained_four_layer_span_tree() {
     client.submit(&batch).expect("traced submit");
     stair_obs::trace::set_enabled(false);
 
-    // The server's wire root flushes just after the response frame is
-    // written, which races the client's return — poll briefly.
-    let rec = stair_obs::trace::recorder();
-    let mut records = Vec::new();
-    for _ in 0..200 {
-        records = rec.traces();
-        let roots: Vec<_> = records
-            .iter()
-            .filter(|t| {
-                t.spans
-                    .iter()
-                    .any(|s| s.name == names::CLIENT_SUBMIT || s.name == names::SRV_REQUEST)
-            })
-            .collect();
-        if roots.len() >= 2 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // The server closes its wire root before it writes the response
+    // frame, so both roots are recorded by the time `submit` returns.
+    let records = stair_obs::trace::recorder().traces();
 
     let submit_rec = records
         .iter()

@@ -1,4 +1,4 @@
-//! A bounded structured event journal with slow-op capture.
+//! A bounded slow-op journal.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,8 +9,6 @@ use std::time::{Duration, Instant};
 /// anything slower is an outlier worth keeping.
 pub const DEFAULT_SLOW_THRESHOLD_US: u64 = 10_000;
 
-/// Events the main ring retains before wrapping.
-const RING_CAP: usize = 1024;
 /// Slow ops retained with full context.
 const SLOW_CAP: usize = 64;
 
@@ -31,14 +29,13 @@ pub struct TraceEvent {
     pub ok: bool,
 }
 
-/// A ring buffer of [`TraceEvent`]s plus a second ring retaining ops
-/// that exceeded the slow threshold. Both rings drop their oldest entry
-/// when full; recording is a short mutex hold (no allocation beyond the
-/// event itself), cheap enough for per-request paths.
+/// A bounded ring retaining ops that reached the slow threshold. The
+/// threshold check comes first: a fast op costs one atomic load, and
+/// only slow ops allocate and take the ring's lock. A full ring drops
+/// its oldest entry.
 pub struct Journal {
     start: Instant,
     threshold_us: AtomicU64,
-    ring: Mutex<VecDeque<TraceEvent>>,
     slow: Mutex<VecDeque<TraceEvent>>,
 }
 
@@ -54,7 +51,6 @@ impl Journal {
         Journal {
             start: Instant::now(),
             threshold_us: AtomicU64::new(DEFAULT_SLOW_THRESHOLD_US),
-            ring: Mutex::new(VecDeque::with_capacity(RING_CAP)),
             slow: Mutex::new(VecDeque::with_capacity(SLOW_CAP)),
         }
     }
@@ -70,41 +66,28 @@ impl Journal {
         self.threshold_us.load(Ordering::Relaxed)
     }
 
-    /// Records one completed op.
+    /// Records one completed op if it reached the slow threshold.
     pub fn record(&self, kind: &str, shard: u32, bytes: u64, duration: Duration, ok: bool) {
+        let duration_us = duration.as_micros() as u64;
+        if duration_us < self.slow_threshold_us() {
+            return;
+        }
         let kind = kind.to_string();
-        // Stamp under the ring lock, so ring order is timestamp order even
-        // when writers race; the slow ring is filled under it too.
-        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+        // Stamp under the lock, so ring order is timestamp order even
+        // when writers race.
+        let mut slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
         let event = TraceEvent {
             t_us: self.start.elapsed().as_micros() as u64,
             kind,
             shard,
             bytes,
-            duration_us: duration.as_micros() as u64,
+            duration_us,
             ok,
         };
-        if event.duration_us >= self.slow_threshold_us() {
-            let mut slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
-            if slow.len() == SLOW_CAP {
-                slow.pop_front();
-            }
-            slow.push_back(event.clone());
+        if slow.len() == SLOW_CAP {
+            slow.pop_front();
         }
-        if ring.len() == RING_CAP {
-            ring.pop_front();
-        }
-        ring.push_back(event);
-    }
-
-    /// The retained events, oldest first.
-    pub fn recent(&self) -> Vec<TraceEvent> {
-        self.ring
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect()
+        slow.push_back(event);
     }
 
     /// The retained slow ops, oldest first.
@@ -123,15 +106,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ring_wraps_and_keeps_the_newest() {
+    fn slow_ring_wraps_and_keeps_the_newest() {
         let j = Journal::new();
-        for i in 0..(RING_CAP + 10) as u64 {
+        j.set_slow_threshold_us(0);
+        for i in 0..(SLOW_CAP + 10) as u64 {
             j.record("read", 0, i, Duration::from_micros(1), true);
         }
-        let recent = j.recent();
-        assert_eq!(recent.len(), RING_CAP);
-        assert_eq!(recent.last().unwrap().bytes, (RING_CAP + 10) as u64 - 1);
-        assert_eq!(recent[0].bytes, 10);
+        let slow = j.slow_ops();
+        assert_eq!(slow.len(), SLOW_CAP);
+        assert_eq!(slow.last().unwrap().bytes, (SLOW_CAP + 10) as u64 - 1);
+        assert_eq!(slow[0].bytes, 10);
     }
 
     #[test]
@@ -140,7 +124,6 @@ mod tests {
         j.set_slow_threshold_us(1000);
         j.record("read", 0, 64, Duration::from_micros(10), true);
         j.record("write", 2, 128, Duration::from_micros(5000), false);
-        assert_eq!(j.recent().len(), 2);
         let slow = j.slow_ops();
         assert_eq!(slow.len(), 1);
         assert_eq!(slow[0].kind, "write");
@@ -161,9 +144,10 @@ mod tests {
     #[test]
     fn timestamps_are_monotonic() {
         let j = Journal::new();
+        j.set_slow_threshold_us(0);
         j.record("a", 0, 0, Duration::ZERO, true);
         j.record("b", 0, 0, Duration::ZERO, true);
-        let r = j.recent();
+        let r = j.slow_ops();
         assert!(r[0].t_us <= r[1].t_us);
     }
 }

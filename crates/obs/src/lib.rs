@@ -6,17 +6,16 @@
 //!   fixed-bucket log₂ latency [`Histogram`]s. Registration (name →
 //!   handle) takes a lock once; the handles themselves are `Arc`-backed
 //!   atomics, so the hot path is lock-free relaxed increments.
-//! * **[`Journal`]** — a bounded ring buffer of structured
-//!   [`TraceEvent`]s (monotonic timestamp, op kind, shard, byte count,
-//!   duration, outcome) with a **slow-op capture**: events whose
-//!   duration exceeds a configurable threshold are retained in their own
-//!   ring with full context, so the outliers survive long after the
-//!   main ring has wrapped.
+//! * **[`Journal`]** — a **slow-op capture**: ops whose duration
+//!   reaches a configurable threshold are retained in a bounded ring
+//!   as structured [`TraceEvent`]s (monotonic timestamp, op kind,
+//!   shard, byte count, duration, outcome). Faster ops cost one atomic
+//!   load and leave no record.
 //! * **[`trace`]** — request-scoped span trees: every layer of one
 //!   operation opens a named, timed span, context crosses threads and
 //!   (via traced protocol frames) the wire, and completed traces land in a
 //!   per-process [`FlightRecorder`] whose slow/errored ring survives
-//!   the main ring's wrap — the journal's slow-op idiom, one level up.
+//!   the main ring's wrap.
 //! * **[`MetricsSnapshot`]** — a point-in-time, plain-data copy of
 //!   everything above. Snapshots merge (counters sum, histograms add
 //!   bucket-wise), which is how per-shard and per-layer views fold into

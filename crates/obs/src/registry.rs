@@ -136,7 +136,7 @@ impl MetricsRegistry {
         map.entry(name.to_string()).or_default().clone()
     }
 
-    /// The embedded trace journal (ring buffer + slow-op capture).
+    /// The embedded slow-op journal.
     pub fn journal(&self) -> &Journal {
         &self.journal
     }

@@ -236,7 +236,7 @@ impl StripeStore {
                 let _encode = stair_obs::trace::span(stair_obs::trace::names::STORE_ENCODE);
                 sh.codec.encode(&mut stripe)?;
             }
-            sh.counters.count_encode();
+            sh.encode_passes.inc();
             let w = write_slot(results, first_write);
             w.stripes_touched += 1;
             w.full_stripe_encodes += 1;
@@ -261,7 +261,7 @@ impl StripeStore {
                         let mut contents = stripe.cell(loc.cell).to_vec();
                         contents[at..at + incoming.len()].copy_from_slice(incoming);
                         let patched = sh.codec.update(&mut stripe, loc.cell, &contents)?;
-                        sh.counters.count_update();
+                        sh.delta_update_calls.inc();
                         touched.insert(loc.cell);
                         touched.extend(patched);
                         let w = write_slot(results, f.op);
@@ -325,6 +325,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("stair-batch-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// How much counter `name` grew between two `store_metrics()`
+    /// snapshots.
+    fn grew(
+        before: &stair_obs::MetricsSnapshot,
+        after: &stair_obs::MetricsSnapshot,
+        name: &str,
+    ) -> u64 {
+        after.counter(name).unwrap() - before.counter(name).unwrap()
     }
 
     fn pattern(len: usize, seed: u8) -> Vec<u8> {
@@ -427,15 +437,15 @@ mod tests {
             batch.write(block * sym, data);
         }
 
-        let before = store.io_stats();
+        let before = store.store_metrics();
         let result = store.submit(&batch).unwrap();
-        let after = store.io_stats();
+        let after = store.store_metrics();
 
         // Exactly one stripe-lock acquisition and one codec pass for
         // all 64 writes; zero per-cell delta updates.
-        assert_eq!(after.stripe_locks - before.stripe_locks, 1);
-        assert_eq!(after.encode_passes - before.encode_passes, 1);
-        assert_eq!(after.delta_update_calls, before.delta_update_calls);
+        assert_eq!(grew(&before, &after, "store.stripe_locks"), 1);
+        assert_eq!(grew(&before, &after, "store.encode_passes"), 1);
+        assert_eq!(grew(&before, &after, "store.delta_update_calls"), 0);
 
         // The pass is attributed exactly once across per-op outcomes.
         assert_eq!(result.write.full_stripe_encodes, 1);
@@ -458,12 +468,12 @@ mod tests {
             batch.write(k * 2 * sym, pattern(sym as usize, 60 + k as u8));
         }
         batch.read(9 * sym, sym as usize);
-        let before = store.io_stats();
+        let before = store.store_metrics();
         let result = store.submit(&batch).unwrap();
-        let after = store.io_stats();
-        assert_eq!(after.stripe_locks - before.stripe_locks, 1);
-        assert_eq!(after.encode_passes, before.encode_passes);
-        assert_eq!(after.delta_update_calls - before.delta_update_calls, 4);
+        let after = store.store_metrics();
+        assert_eq!(grew(&before, &after, "store.stripe_locks"), 1);
+        assert_eq!(grew(&before, &after, "store.encode_passes"), 0);
+        assert_eq!(grew(&before, &after, "store.delta_update_calls"), 4);
         assert_eq!(result.write.delta_updates, 4);
         assert_eq!(result.write.stripes_touched, 1);
         let OpResult::Read(got) = &result.results[4] else {
@@ -507,12 +517,12 @@ mod tests {
         batch
             .write(0, pattern(sym as usize, 80))
             .read(5 * sym, (2 * sym) as usize);
-        let before = store.io_stats();
+        let before = store.store_metrics();
         let result = store.submit(&batch).unwrap();
-        let after = store.io_stats();
+        let after = store.store_metrics();
         // One restore pass covered both the write patching and the read.
-        assert_eq!(after.recover_passes - before.recover_passes, 1);
-        assert_eq!(after.stripe_locks - before.stripe_locks, 1);
+        assert_eq!(grew(&before, &after, "store.recover_passes"), 1);
+        assert_eq!(grew(&before, &after, "store.stripe_locks"), 1);
         let OpResult::Read(got) = &result.results[1] else {
             panic!("op 1 is a read")
         };

@@ -7,7 +7,7 @@
 //! decodes garbage). The journal closes that hole by inverting the
 //! persistence order: before any in-place sector write, the **post
 //! image** of every cell the commit will touch is appended here as one
-//! length-prefixed, checksummed record and (by default) fsync'd. A
+//! length-prefixed, checksummed record and fsync'd. A
 //! crash at any instant then leaves one of two recoverable states:
 //!
 //! * the record is absent or torn → no in-place write for it can have
@@ -51,12 +51,10 @@
 //! Knobs (read once per store open):
 //!
 //! * `STAIR_JOURNAL=0` disables appends (replay of an existing journal
-//!   still runs — a log written by an enabled run must still recover);
-//! * `STAIR_JOURNAL_SYNC=0` skips the per-append fsync (still correct
-//!   against `kill -9`, which does not drop the page cache; only
-//!   power loss needs the fsync);
-//! * `STAIR_JOURNAL_SEGMENT=<bytes>` sets the segment capacity at
-//!   store creation (recorded in the v3 superblock thereafter).
+//!   still runs — a log written by an enabled run must still recover).
+//!
+//! The segment capacity is [`DEFAULT_JOURNAL_SEGMENT`] at store
+//! creation and is recorded in the superblock thereafter.
 
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
@@ -64,6 +62,7 @@ use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use stair_code::CellIdx;
+use stair_obs::Counter;
 
 use crate::checksum::fletcher32;
 use crate::Error;
@@ -71,8 +70,8 @@ use crate::Error;
 /// File name of the journal segment inside a store directory.
 pub const JOURNAL_FILE: &str = "journal.stair";
 
-/// Segment capacity used when `STAIR_JOURNAL_SEGMENT` is unset at
-/// store creation (v1/v2 superblocks adopt it on first v3 open).
+/// Segment capacity every store is created with (the superblock
+/// records it, so a store reopens with the capacity it was made with).
 pub const DEFAULT_JOURNAL_SEGMENT: u64 = 8 * 1024 * 1024;
 
 /// Magic prefix of the segment file.
@@ -109,20 +108,6 @@ fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 
 fn mutex_lock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// `true` unless env var `name` is set to exactly `0`.
-fn env_flag(name: &str) -> bool {
-    !matches!(std::env::var(name).as_deref(), Ok("0"))
-}
-
-/// The segment capacity requested by the environment at store creation.
-pub fn env_journal_segment() -> u64 {
-    std::env::var("STAIR_JOURNAL_SEGMENT")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(|v| v.max(HEADER_LEN))
-        .unwrap_or(DEFAULT_JOURNAL_SEGMENT)
 }
 
 struct Inner {
@@ -194,15 +179,14 @@ impl CommitGuard<'_> {
     }
 
     /// Makes every record appended through this guard durable (one
-    /// fdatasync, skipped under `STAIR_JOURNAL_SYNC=0` or when nothing
-    /// was appended). Must run before the caller's first in-place
-    /// sector write.
+    /// fdatasync, skipped when nothing was appended). Must run before
+    /// the caller's first in-place sector write.
     ///
     /// # Errors
     ///
     /// Propagates the fsync error.
     pub fn sync(&self) -> Result<(), Error> {
-        if self.journal.sync && self.appended > 0 {
+        if self.appended > 0 {
             mutex_lock(&self.journal.inner).file.sync_data()?;
         }
         Ok(())
@@ -214,17 +198,17 @@ pub struct Journal {
     symbol: usize,
     capacity: u64,
     enabled: bool,
-    sync: bool,
     inner: Mutex<Inner>,
     /// Shared by committers (append → write-back), exclusive for
     /// checkpoint truncation. Gate holders acquire no further locks
     /// (the inner mutex is always released before returning), so the
     /// stripe-lock → gate order cannot deadlock.
     commit_gate: RwLock<()>,
-    /// Records appended since open (metrics).
-    appends: std::sync::atomic::AtomicU64,
-    /// Checkpoints taken since open (metrics).
-    checkpoints: std::sync::atomic::AtomicU64,
+    /// Records appended since open (`store.jrnl.appends` once the
+    /// store registers it).
+    pub(crate) appends: Counter,
+    /// Checkpoints taken since open (`store.jrnl.checkpoints`).
+    pub(crate) checkpoints: Counter,
 }
 
 impl Journal {
@@ -273,8 +257,7 @@ impl Journal {
         Ok(Journal {
             symbol,
             capacity,
-            enabled: env_flag("STAIR_JOURNAL"),
-            sync: env_flag("STAIR_JOURNAL_SYNC"),
+            enabled: !matches!(std::env::var("STAIR_JOURNAL").as_deref(), Ok("0")),
             // `used` starts at the header: the file length no longer
             // marks the live end. A reopen over live records must
             // replay first — replay re-derives `used` from the parse —
@@ -287,19 +270,9 @@ impl Journal {
                 seq: 0,
             }),
             commit_gate: RwLock::new(()),
-            appends: std::sync::atomic::AtomicU64::new(0),
-            checkpoints: std::sync::atomic::AtomicU64::new(0),
+            appends: Counter::default(),
+            checkpoints: Counter::default(),
         })
-    }
-
-    /// Records appended since this handle opened the journal.
-    pub fn append_count(&self) -> u64 {
-        self.appends.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Checkpoints taken since this handle opened the journal.
-    pub fn checkpoint_count(&self) -> u64 {
-        self.checkpoints.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Whether appends are on for this handle (`STAIR_JOURNAL` knob).
@@ -364,12 +337,12 @@ impl Journal {
     }
 
     /// Makes the intent of one stripe commit durable: appends a record
-    /// carrying the post-image of every cell in `cells` and, unless
-    /// `STAIR_JOURNAL_SYNC=0`, fsyncs it — all **before** the caller
-    /// performs any in-place sector write. Returns a guard the caller
-    /// must hold until those writes are done (`None` when journaling
-    /// is disabled or the commit is empty). Multi-stripe committers
-    /// use [`Journal::begin`] instead and share one fsync.
+    /// carrying the post-image of every cell in `cells` and fsyncs it —
+    /// all **before** the caller performs any in-place sector write.
+    /// Returns a guard the caller must hold until those writes are done
+    /// (`None` when journaling is disabled or the commit is empty).
+    /// Multi-stripe committers use [`Journal::begin`] instead and share
+    /// one fsync.
     ///
     /// # Errors
     ///
@@ -418,8 +391,7 @@ impl Journal {
         inner.file.write_all_at(&record, at)?;
         inner.used = end;
         inner.file_len = inner.file_len.max(at + record.len() as u64);
-        self.appends
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.appends.inc();
         Ok(())
     }
 
@@ -439,13 +411,10 @@ impl Journal {
         let mut inner = mutex_lock(&self.inner);
         persist()?;
         inner.file.write_all_at(&TERMINATOR, HEADER_LEN)?;
-        if self.sync {
-            inner.file.sync_data()?;
-        }
+        inner.file.sync_data()?;
         inner.used = HEADER_LEN;
         inner.file_len = inner.file_len.max(HEADER_LEN + TERMINATOR.len() as u64);
-        self.checkpoints
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.checkpoints.inc();
         Ok(())
     }
 
@@ -704,7 +673,7 @@ mod tests {
         assert!(j
             .checkpoint(|| Err(Error::Meta("persist failed".into())))
             .is_err());
-        assert_eq!(j.checkpoint_count(), 1);
+        assert_eq!(j.checkpoints.get(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -720,7 +689,7 @@ mod tests {
             g.append(9, &borrow(&b), true).unwrap();
             g.sync().unwrap();
         }
-        assert_eq!(j.append_count(), 2);
+        assert_eq!(j.appends.get(), 2);
         let mut stripes = Vec::new();
         let n = j
             .replay(|rec| {

@@ -85,4 +85,4 @@ pub use layout::{BlockLocation, BlockMap};
 pub use meta::StoreMeta;
 pub use repair::RepairReport;
 pub use scrub::ScrubReport;
-pub use store::{IoStats, StoreOptions, StoreStatus, StripeStore, WriteReport};
+pub use store::{StoreOptions, StoreStatus, StripeStore, WriteReport};

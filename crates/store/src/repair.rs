@@ -54,9 +54,7 @@ impl StripeStore {
     pub fn repair(&self, threads: usize) -> Result<RepairReport, Error> {
         assert!(threads > 0, "need at least one repair thread");
         let sh = &self.shared;
-        sh.counters
-            .repair_stripes_done
-            .store(0, std::sync::atomic::Ordering::Relaxed);
+        sh.repair_stripes_done.set(0);
 
         // Phase 1: attach replacement files for failed devices. Devices
         // already in `Rebuilding` (an interrupted earlier pass) are picked
@@ -115,10 +113,7 @@ impl StripeStore {
                                     .push(stripe);
                             }
                         }
-                        self.shared
-                            .counters
-                            .repair_stripes_done
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        self.shared.repair_stripes_done.add(1);
                     }
                     Ok::<(), Error>(())
                 }));

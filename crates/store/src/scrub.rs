@@ -55,9 +55,7 @@ impl StripeStore {
         assert!(threads > 0, "need at least one scrub thread");
         let sh = &self.shared;
         let stripes = sh.meta.stripes;
-        sh.counters
-            .scrub_stripes_done
-            .store(0, std::sync::atomic::Ordering::Relaxed);
+        sh.scrub_stripes_done.set(0);
         let health = sh.integrity.health();
         let unavailable: Vec<usize> = (0..sh.geometry.n)
             .filter(|&d| health.devices[d] != DeviceState::Healthy)
@@ -156,9 +154,7 @@ impl StripeStore {
                     }
                 }
             }
-            sh.counters
-                .scrub_stripes_done
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            sh.scrub_stripes_done.add(1);
         }
         mismatches
             .lock()

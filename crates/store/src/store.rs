@@ -26,15 +26,15 @@
 //! reshaping between the I/O layer and the math.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use stair_code::{CellIdx, CodeError, CodecSpec, ErasureCode, ErasureSet, Geometry, StripeBuf};
+use stair_obs::{Counter, Gauge, MetricsRegistry};
 
 use crate::codec::build_codec;
 use crate::device::{DeviceSet, SectorRead};
 use crate::integrity::{DeviceState, Integrity};
-use crate::journal::{env_journal_segment, Journal};
+use crate::journal::{Journal, DEFAULT_JOURNAL_SEGMENT};
 use crate::layout::BlockMap;
 use crate::meta::StoreMeta;
 use crate::Error;
@@ -112,60 +112,6 @@ pub struct StoreStatus {
     pub replayed_records: u64,
 }
 
-/// A point-in-time snapshot of the store's data-path instrumentation:
-/// cumulative counts since the store handle family was opened (handles
-/// cloned from one [`StripeStore`] share counters). The batched submit
-/// path exists to shrink exactly these numbers — a batch of N
-/// same-stripe writes should cost one lock acquisition and one codec
-/// pass, not N — so tests and benchmarks assert on deltas of this
-/// snapshot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IoStats {
-    /// Stripe-lock acquisitions (foreground I/O, scrub, and repair all
-    /// take stripe locks).
-    pub stripe_locks: u64,
-    /// Full-stripe encode passes (`ErasureCode::encode`).
-    pub encode_passes: u64,
-    /// Parity-delta update calls (`ErasureCode::update`), one per
-    /// dirty cell.
-    pub delta_update_calls: u64,
-    /// Recovery plan applications (`ErasureCode::apply`) on the
-    /// foreground read/write path.
-    pub recover_passes: u64,
-}
-
-/// The live counters behind [`IoStats`]; relaxed ordering is enough
-/// because readers only ever want monotonic totals, not ordering
-/// against data operations.
-#[derive(Default)]
-pub(crate) struct Counters {
-    stripe_locks: AtomicU64,
-    encode_passes: AtomicU64,
-    delta_update_calls: AtomicU64,
-    recover_passes: AtomicU64,
-    /// Progress gauge: stripes completed by the current (or last) scrub
-    /// pass. Reset when a pass starts, so a concurrent metrics reader
-    /// watches it climb from 0 to the stripe count.
-    pub(crate) scrub_stripes_done: AtomicU64,
-    /// Progress gauge: stripes completed by the current (or last)
-    /// repair pass.
-    pub(crate) repair_stripes_done: AtomicU64,
-    /// Journal records replayed at open (0 after a clean shutdown).
-    pub(crate) journal_replayed: AtomicU64,
-}
-
-impl Counters {
-    pub(crate) fn count_encode(&self) {
-        self.encode_passes.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn count_update(&self) {
-        self.delta_update_calls.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn count_recover(&self) {
-        self.recover_passes.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 pub(crate) struct Shared {
     pub(crate) dir: PathBuf,
     pub(crate) meta: StoreMeta,
@@ -174,12 +120,34 @@ pub(crate) struct Shared {
     pub(crate) blocks: BlockMap,
     pub(crate) devices: DeviceSet,
     pub(crate) integrity: Integrity,
-    pub(crate) counters: Counters,
     pub(crate) journal: Journal,
     /// Sticky: whether the superblock said the *previous* close was
     /// clean, as read when this handle family opened.
     pub(crate) clean_shutdown: bool,
     stripe_locks: Vec<Mutex<()>>,
+    /// The `store.*` metrics of this handle family (clones share it).
+    /// The handles below are registered in it once, in `assemble`.
+    metrics: MetricsRegistry,
+    /// `store.stripe_locks`: stripe-lock acquisitions (foreground I/O,
+    /// scrub, and repair all take stripe locks).
+    locks_taken: Counter,
+    /// `store.encode_passes`: full-stripe `ErasureCode::encode` passes.
+    pub(crate) encode_passes: Counter,
+    /// `store.delta_update_calls`: `ErasureCode::update` calls, one per
+    /// dirty cell.
+    pub(crate) delta_update_calls: Counter,
+    /// `store.recover_passes`: recovery plans applied on the foreground
+    /// read/write path.
+    pub(crate) recover_passes: Counter,
+    /// `store.scrub.stripes_done`: stripes finished by the current (or
+    /// last) scrub pass. Reset when a pass starts, so a concurrent
+    /// metrics reader watches it climb from 0 to the stripe count.
+    pub(crate) scrub_stripes_done: Gauge,
+    /// `store.repair.stripes_done`: the same progress for repair.
+    pub(crate) repair_stripes_done: Gauge,
+    /// `store.jrnl.replayed`: journal records replayed at open (0 after
+    /// a clean shutdown).
+    jrnl_replayed: Counter,
 }
 
 impl Drop for Shared {
@@ -230,7 +198,7 @@ impl StripeStore {
             codec: opts.code.clone(),
             symbol: opts.symbol,
             stripes: opts.stripes,
-            journal_segment: env_journal_segment(),
+            journal_segment: DEFAULT_JOURNAL_SEGMENT,
             // The store is live from here until a clean close.
             clean_shutdown: false,
         };
@@ -253,7 +221,7 @@ impl StripeStore {
     }
 
     /// Opens an existing store, rebuilding whichever codec the superblock
-    /// names (v2 `codec` specs, or legacy v1 STAIR superblocks).
+    /// names.
     ///
     /// A device whose backing file is missing but which the health record
     /// still lists as healthy is demoted to failed (crash between a
@@ -281,7 +249,7 @@ impl StripeStore {
         meta.clean_shutdown = false;
         let store = Self::assemble(dir, meta, codec, devices, integrity, journal, was_clean)?;
         // Finish any commit a crash interrupted, then mark the store
-        // live (also upgrades v1/v2 superblocks to v3 in place).
+        // live (the superblock now says `clean_shutdown 0`).
         store.replay_journal()?;
         store.shared.meta.save(dir)?;
         Ok(store)
@@ -341,9 +309,7 @@ impl StripeStore {
             });
             Ok(())
         })?;
-        sh.counters
-            .journal_replayed
-            .store(replayed, Ordering::Relaxed);
+        sh.jrnl_replayed.add(replayed);
         // Make the replayed state durable and truncate the journal.
         sh.journal.checkpoint(|| {
             sh.devices.sync()?;
@@ -386,7 +352,7 @@ impl StripeStore {
         codec: Box<dyn ErasureCode>,
         devices: DeviceSet,
         integrity: Integrity,
-        journal: Journal,
+        mut journal: Journal,
         clean_shutdown: bool,
     ) -> Result<Self, Error> {
         let geometry = codec.geometry();
@@ -394,6 +360,9 @@ impl StripeStore {
         let stripe_locks = (0..meta.stripes.clamp(1, 64))
             .map(|_| Mutex::new(()))
             .collect();
+        let metrics = MetricsRegistry::new();
+        journal.appends = metrics.counter("store.jrnl.appends");
+        journal.checkpoints = metrics.counter("store.jrnl.checkpoints");
         Ok(StripeStore {
             shared: Arc::new(Shared {
                 dir: dir.to_path_buf(),
@@ -403,10 +372,17 @@ impl StripeStore {
                 blocks,
                 devices,
                 integrity,
-                counters: Counters::default(),
                 journal,
                 clean_shutdown,
                 stripe_locks,
+                locks_taken: metrics.counter("store.stripe_locks"),
+                encode_passes: metrics.counter("store.encode_passes"),
+                delta_update_calls: metrics.counter("store.delta_update_calls"),
+                recover_passes: metrics.counter("store.recover_passes"),
+                scrub_stripes_done: metrics.gauge("store.scrub.stripes_done"),
+                repair_stripes_done: metrics.gauge("store.repair.stripes_done"),
+                jrnl_replayed: metrics.counter("store.jrnl.replayed"),
+                metrics,
             }),
         })
     }
@@ -473,11 +449,7 @@ impl StripeStore {
             rebuilding_devices: by_state(DeviceState::Rebuilding),
             known_bad_sectors: health.bad_sectors.len(),
             clean_shutdown: self.shared.clean_shutdown,
-            replayed_records: self
-                .shared
-                .counters
-                .journal_replayed
-                .load(Ordering::Relaxed),
+            replayed_records: self.shared.jrnl_replayed.get(),
         }
     }
 
@@ -504,10 +476,7 @@ impl StripeStore {
     // that later touches the same stripe (the serve path's cascade).
     pub(crate) fn lock_stripe(&self, stripe: usize) -> MutexGuard<'_, ()> {
         let locks = &self.shared.stripe_locks;
-        self.shared
-            .counters
-            .stripe_locks
-            .fetch_add(1, Ordering::Relaxed);
+        self.shared.locks_taken.inc();
         locks[stripe % locks.len()]
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -524,10 +493,7 @@ impl StripeStore {
         let mut slots: Vec<usize> = stripes.iter().map(|s| s % locks.len()).collect();
         slots.sort_unstable();
         slots.dedup();
-        self.shared
-            .counters
-            .stripe_locks
-            .fetch_add(slots.len() as u64, Ordering::Relaxed);
+        self.shared.locks_taken.add(slots.len() as u64);
         slots
             .into_iter()
             .map(|s| {
@@ -538,55 +504,20 @@ impl StripeStore {
             .collect()
     }
 
-    /// Snapshot of the cumulative data-path instrumentation counters.
-    /// Clones of one store share counters, so a handle cloned before
-    /// traffic observes everything the other handles did.
-    pub fn io_stats(&self) -> IoStats {
-        let c = &self.shared.counters;
-        IoStats {
-            stripe_locks: c.stripe_locks.load(Ordering::Relaxed),
-            encode_passes: c.encode_passes.load(Ordering::Relaxed),
-            delta_update_calls: c.delta_update_calls.load(Ordering::Relaxed),
-            recover_passes: c.recover_passes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// This store's [`IoStats`] and scrub/repair progress folded into a
-    /// metrics snapshot under `store.*` names — the per-instance half of
+    /// This store's `store.*` metrics: cumulative counts since the
+    /// handle family opened (clones share them, so a handle cloned
+    /// before traffic observes everything the others did), scrub and
+    /// repair progress, and the live stripe count and journal fill.
+    /// This is the per-instance half of
     /// [`BlockDevice::metrics`](stair_device::BlockDevice::metrics)
     /// (process-global GF kernel counters are added once by the caller,
     /// via [`gf_metrics`](crate::gf_metrics), so aggregating several
     /// stores does not multiply them).
     pub fn store_metrics(&self) -> stair_obs::MetricsSnapshot {
-        let stats = self.io_stats();
-        let c = &self.shared.counters;
-        let mut snap = stair_obs::MetricsSnapshot::default();
-        snap.add_counter("store.stripe_locks", stats.stripe_locks);
-        snap.add_counter("store.encode_passes", stats.encode_passes);
-        snap.add_counter("store.delta_update_calls", stats.delta_update_calls);
-        snap.add_counter("store.recover_passes", stats.recover_passes);
-        snap.add_gauge(
-            "store.scrub.stripes_done",
-            c.scrub_stripes_done.load(Ordering::Relaxed) as i64,
-        );
-        snap.add_gauge(
-            "store.repair.stripes_done",
-            c.repair_stripes_done.load(Ordering::Relaxed) as i64,
-        );
+        let sh = &self.shared;
+        let mut snap = sh.metrics.snapshot();
         snap.add_gauge("store.stripes", self.stripe_count() as i64);
-        snap.add_counter("store.jrnl.appends", self.shared.journal.append_count());
-        snap.add_counter(
-            "store.jrnl.checkpoints",
-            self.shared.journal.checkpoint_count(),
-        );
-        snap.add_counter(
-            "store.jrnl.replayed",
-            c.journal_replayed.load(Ordering::Relaxed),
-        );
-        snap.add_gauge(
-            "store.jrnl.used_bytes",
-            self.shared.journal.used_bytes() as i64,
-        );
+        snap.add_gauge("store.jrnl.used_bytes", sh.journal.used_bytes() as i64);
         snap
     }
 
@@ -781,7 +712,7 @@ impl StripeStore {
                 .plan_recover(&erased, &wanted)
                 .map_err(|e| self.unrecoverable(stripe_idx, &erased, e))?;
             sh.codec.apply(&plan, &mut stripe)?;
-            sh.counters.count_recover();
+            sh.recover_passes.inc();
         }
         for block in blocks {
             let (row, dev) = sh.blocks.locate(block)?.cell;
@@ -865,7 +796,7 @@ impl StripeStore {
                 .plan(&erased)
                 .map_err(|e| self.unrecoverable(stripe_idx, &erased, e))?;
             sh.codec.apply(&plan, &mut stripe)?;
-            sh.counters.count_recover();
+            sh.recover_passes.inc();
         }
         Ok((stripe, erased))
     }
@@ -946,7 +877,7 @@ impl StripeStore {
             let start = (blocks.start as u64 * sym as u64 - offset) as usize;
             stripe.write_cells(&geom.data_cells, &data[start..start + per * sym])?;
             sh.codec.encode(&mut stripe)?;
-            sh.counters.count_encode();
+            sh.encode_passes.inc();
             self.write_back_cells(stripe_idx, &stripe, None)?;
             report.full_stripe_encodes += 1;
             return Ok(());
@@ -961,7 +892,7 @@ impl StripeStore {
             let mut contents = stripe.cell(loc.cell).to_vec();
             contents[at..at + incoming.len()].copy_from_slice(incoming);
             let patched = sh.codec.update(&mut stripe, loc.cell, &contents)?;
-            sh.counters.count_update();
+            sh.delta_update_calls.inc();
             report.delta_updates += 1;
             report.parity_sectors_patched += patched.len();
             touched.insert(loc.cell);
