@@ -96,15 +96,7 @@ fn main() {
 
     let set = ShardSet::create(&dir, shards, &opts).expect("create shards");
     let capacity = set.capacity() as usize;
-    let server = Server::bind(
-        "127.0.0.1:0",
-        set,
-        ServerConfig {
-            workers,
-            write_batch: 32,
-        },
-    )
-    .expect("bind server");
+    let server = Server::bind("127.0.0.1:0", set, ServerConfig { workers }).expect("bind server");
     let addr = server.local_addr().to_string();
     let running = std::thread::spawn(move || server.run());
 

@@ -2,11 +2,10 @@
 //! journal, shipped as a lint instead of prose. In `crates/store`,
 //! mutating a stripe in place is only safe after the journal holds a
 //! durable record of the post-image — so the only functions allowed to
-//! call `.write_sector(…)` are the legs of the journal protocol:
+//! call `.write_sector(…)` are the two legs of the journal protocol:
 //!
-//! * `write_back_cells` — journals first, then persists in place;
-//! * `apply_write_back` — the in-place leg shared by the single-stripe
-//!   path and the batch group commit (both journal-first);
+//! * `apply_write_back` — the in-place leg of the batch group commit,
+//!   the store's one write path (records journaled and fsync'd first);
 //! * `replay_journal` — re-applies already-durable records at open.
 //!
 //! Any other call site is a write the journal cannot finish after a
@@ -30,7 +29,7 @@ const DEVICE_RS: &str = "crates/store/src/device.rs";
 
 /// The journaled commit path: the only enclosing functions that may
 /// write sectors in place without a waiver.
-const ALLOWED_FNS: &[&str] = &["write_back_cells", "apply_write_back", "replay_journal"];
+const ALLOWED_FNS: &[&str] = &["apply_write_back", "replay_journal"];
 
 /// Appends persist-ordering findings.
 pub fn run(ws: &Workspace, out: &mut Vec<Finding>) {
@@ -102,8 +101,9 @@ fn scan_file(f: &SourceFile, out: &mut Vec<Finding>) {
                     tok.col,
                     format!(
                         "in-place sector write in `{site}`, outside the journaled commit path \
-                         ({}): journal the post-image first or route through `write_back_cells`; \
-                         a deliberate bypass needs `// check: persist-ok <reason>`",
+                         ({}): route the write through the batch group commit, which journals \
+                         the post-image before `apply_write_back`; a deliberate bypass needs \
+                         `// check: persist-ok <reason>`",
                         ALLOWED_FNS.join(" / ")
                     ),
                     tf.line_text(tok.line),

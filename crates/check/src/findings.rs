@@ -116,7 +116,7 @@ impl Lint {
             }
             Lint::PersistOrdering => {
                 "in crates/store, sectors are written in place only from the journaled commit \
-                 path (write_back_cells / apply_write_back / replay_journal)"
+                 path (apply_write_back / replay_journal)"
             }
             Lint::UnsafeConfined => {
                 "unsafe code lives only in crates/gf/src/simd.rs, under `// SAFETY:` comments; \

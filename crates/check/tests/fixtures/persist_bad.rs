@@ -24,8 +24,8 @@ impl Store {
         self.devices.write_sector(3, 4, 5, cell)
     }
 
-    // Allowed: the journaled persist leg.
-    pub fn write_back_cells(&self, cell: &[u8]) -> Result<(), String> {
+    // Allowed: the in-place leg of a journal-first commit.
+    pub fn apply_write_back(&self, cell: &[u8]) -> Result<(), String> {
         self.devices.write_sector(0, 0, 0, cell)
     }
 

@@ -15,19 +15,14 @@ pub struct Store {
 }
 
 impl Store {
-    // The journaled persist leg.
-    pub fn write_back_cells(&self, cell: &[u8]) -> Result<(), String> {
+    // The in-place leg of a group commit (records already durable).
+    pub fn apply_write_back(&self, cell: &[u8]) -> Result<(), String> {
         self.devices.write_sector(0, 0, 0, cell)
     }
 
     // Replay of already-durable records.
     fn replay_journal(&self, cell: &[u8]) -> Result<(), String> {
         self.devices.write_sector(1, 1, 1, cell)
-    }
-
-    // The in-place leg of a group commit (records already durable).
-    fn apply_write_back(&self, cell: &[u8]) -> Result<(), String> {
-        self.devices.write_sector(3, 3, 3, cell)
     }
 
     // A deliberate bypass, audited at the site.

@@ -2,15 +2,17 @@
 //!
 //! ```text
 //! stair serve --dir ROOT --addr HOST:PORT [--shards K] [--code SPEC]
-//!             [--symbol S] [--stripes T] [--workers W] [--batch B]
+//!             [--symbol S] [--stripes T] [--workers W]
 //! ```
 //!
 //! An empty root is initialized with `K` fresh shards (`--code`,
 //! `--symbol`, `--stripes` pick their shape); a root that already holds
 //! shards is reopened, in which case `--shards` must match what is on
-//! disk and the shape flags are ignored. Every failure — busy port, bad
-//! root, mismatched shard count — is a clean error message and a
-//! non-zero exit, never a panic.
+//! disk and the shape flags are ignored. `W` worker threads execute
+//! requests; every data request is a BATCH frame that runs as one
+//! shard-set submit. Every failure — busy port, bad root, mismatched
+//! shard count, unknown flag — is a clean error message and a non-zero
+//! exit, never a panic.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -24,12 +26,20 @@ use crate::flags::{usize_flag, Flags};
 /// Usage text for `stair serve`.
 pub const SERVE_USAGE: &str = "usage:
   stair serve --dir ROOT --addr HOST:PORT [--shards K] [--code SPEC]
-              [--symbol S] [--stripes T] [--workers W] [--batch B]
+              [--symbol S] [--stripes T] [--workers W]
   (new roots are initialized with K shards of the given shape; existing
    roots are reopened and --shards must match)";
 
+/// Every flag `stair serve` accepts.
+const SERVE_FLAGS: &[&str] = &[
+    "dir", "addr", "shards", "code", "symbol", "stripes", "workers",
+];
+
 /// Runs `stair serve`, blocking until the server is shut down.
 pub fn run(flags: &Flags) -> Result<(), String> {
+    if let Some(key) = flags.keys().find(|k| !SERVE_FLAGS.contains(&k.as_str())) {
+        return Err(format!("unknown flag --{key}\n{SERVE_USAGE}"));
+    }
     let dir = flags
         .get("dir")
         .filter(|v| !v.is_empty())
@@ -60,7 +70,6 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     let set = ShardSet::open_or_create(&dir, shards, &opts).map_err(|e| e.to_string())?;
     let config = ServerConfig {
         workers: usize_flag(flags, "workers", 4)?.max(1),
-        write_batch: usize_flag(flags, "batch", 32)?.max(1),
     };
     let server = Server::bind(addr, set, config).map_err(|e| e.to_string())?;
     let info = server.info();

@@ -232,6 +232,30 @@ fn serve_refuses_busy_port_with_clean_error() {
 }
 
 #[test]
+fn serve_rejects_unknown_flags() {
+    // An unknown flag must fail loudly, not be silently ignored.
+    let work = std::env::temp_dir().join(format!("stair-flag-cli-{}", std::process::id()));
+    let (ok, out) = run(&[
+        "serve",
+        "--dir",
+        work.join("root").to_str().unwrap(),
+        "--addr",
+        "127.0.0.1:0",
+        "--batch",
+        "8",
+    ]);
+    assert!(!ok, "an unknown flag must fail");
+    assert!(
+        out.contains("error:") && out.contains("unknown flag --batch"),
+        "{out}"
+    );
+    assert!(
+        !work.exists(),
+        "a rejected command must not create the root"
+    );
+}
+
+#[test]
 fn serve_refuses_bad_roots_with_clean_errors() {
     let work = std::env::temp_dir().join(format!("stair-badroot-cli-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&work);

@@ -23,8 +23,10 @@
 //!   convert into (`stair_store::Error` and `stair_net::NetError`
 //!   provide `From` impls);
 //! * **[`DeviceStatus`]** / **[`WriteOutcome`]** / **[`ScrubOutcome`]**
-//!   / **[`RepairOutcome`]** — unified report types replacing the
-//!   per-backend `WriteReport`/`WriteSummary`/`ScrubReport`/… zoo;
+//!   / **[`RepairOutcome`]** — unified report types every backend
+//!   returns ([`WriteOutcome`] is also what the store's batch path and
+//!   the wire's BATCH replies carry, so a write has one report type
+//!   end to end);
 //! * **[`DeviceSpec`]** — the URI-style grammar (`file:<dir>`,
 //!   `shards:<root>?n=4`, `tcp:<addr>`) naming a backend; the
 //!   `open_device()` registry in `stair-net` turns a spec into a live

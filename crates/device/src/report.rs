@@ -1,11 +1,11 @@
 //! Unified report types shared by every backend.
 //!
-//! These replace the per-backend zoo (`stair_store::WriteReport` vs
-//! `stair_net::protocol::WriteSummary`, a bare `StoreStatus` vs a
-//! `Vec<StoreStatus>`, …): each backend converts its native reports
-//! into these in its [`BlockDevice`](crate::BlockDevice) impl, so
-//! consumers — the CLI, the benchmarks, the conformance tests — see one
-//! shape regardless of where the bytes live.
+//! Each backend converts its native reports (a bare `StoreStatus` vs a
+//! `Vec<StoreStatus>`, a store `ScrubReport`, …) into these in its
+//! [`BlockDevice`](crate::BlockDevice) impl, so consumers — the CLI,
+//! the benchmarks, the conformance tests — see one shape regardless of
+//! where the bytes live. Writes need no conversion: the store, the
+//! shard set and the wire all produce [`WriteOutcome`] natively.
 
 /// Health and geometry of one erasure-coded shard. A single-store
 /// backend reports exactly one; a sharded or remote backend reports one

@@ -1,18 +1,17 @@
 //! Blocking client for the stair-net protocol.
 //!
-//! [`Client`] owns one connection and reuses it across calls. Large
-//! reads and writes are split into [`MAX_IO_BYTES`]-capped chunks and
-//! **pipelined**: up to a window of requests are in flight before the
-//! first response is awaited, and responses are matched back to chunks
-//! by request ID (the server's worker pool may complete them out of
-//! order). Every response payload is checksum-verified by the frame
-//! layer before it is trusted, and server-reported failures are
-//! normalized by one shared helper ([`ok_or_remote`]) on both the
-//! simple and the pipelined path.
-//!
-//! **Batches** ([`Client::submit`]) ship many ops in one BATCH frame —
-//! one round trip instead of one per op. The server splits each frame
-//! by placement and runs the touched shards in parallel.
+//! [`Client`] owns one connection and reuses it across calls. All data
+//! travels in BATCH frames: [`Client::submit`] ships many ops in one
+//! frame — one round trip instead of one per op — and
+//! [`Client::read_at`] / [`Client::write_at`] are one-op batches sent
+//! the same way. Ops past the per-frame caps are split into
+//! [`MAX_IO_BYTES`]-capped frames and **pipelined**: up to a window of
+//! frames are in flight before the first response is awaited, and
+//! responses are matched back by request ID (the server's worker pool
+//! may complete them out of order). Every response payload is
+//! checksum-verified by the frame layer before it is trusted, and
+//! server-reported failures are normalized by one shared helper
+//! ([`ok_or_remote`]) on both the simple and the pipelined path.
 //!
 //! **Resilience**: a broken connection is not a dead client. Any call
 //! that hits a transport error drops the connection and the next call
@@ -20,9 +19,9 @@
 //! batches additionally retry once after reconnecting, so a server
 //! restart or dropped socket between ops is invisible to those callers
 //! (a batch is reissued under its batch id, and the server journals
-//! absolute post-images, so redelivery is safe). Plain writes and fault
-//! injection never auto-retry: the caller decides whether to reissue
-//! them.
+//! absolute post-images, so redelivery is safe). Plain `write_at` and
+//! fault injection never auto-retry: the caller decides whether to
+//! reissue them.
 //!
 //! The connection lives behind a [`Mutex`], so every method takes
 //! `&self` and a `Client` is `Send + Sync` — usable behind
@@ -37,19 +36,18 @@ use std::str::FromStr;
 use std::sync::{Mutex, MutexGuard};
 
 use stair_code::CodecSpec;
-use stair_device::{seed_results, BatchResult, IoBatch, IoOp, OpResult};
+use stair_device::{seed_results, BatchResult, IoBatch, IoOp, OpResult, WriteOutcome};
 use stair_obs::trace::{self, names};
 use stair_store::StoreStatus;
 
-use crate::device_impl::write_outcome;
 use crate::protocol::{
     ok_or_remote, read_response, write_request, write_request_traced, BatchReply, RepairSummary,
-    Request, Response, ScrubSummary, ServerInfo, WireShardStatus, WireTrace, WriteSummary,
-    MAX_BATCH_OPS, MAX_IO_BYTES, PROTOCOL_VERSION,
+    Request, Response, ScrubSummary, ServerInfo, WireShardStatus, WireTrace, MAX_BATCH_OPS,
+    MAX_IO_BYTES, PROTOCOL_VERSION,
 };
 use crate::NetError;
 
-/// Chunk requests in flight per connection during pipelined transfers.
+/// Frames in flight per connection during pipelined transfers.
 const PIPELINE_WINDOW: usize = 8;
 
 /// Stitch-back map: per sub-op, `(global op index, byte offset of the
@@ -236,78 +234,42 @@ impl Client {
         }
     }
 
-    /// Reads `len` bytes at global byte `offset` (chunked + pipelined).
-    /// Retries once over a fresh connection if the socket breaks.
+    /// Reads `len` bytes at global byte `offset`: a one-op batch
+    /// (split into pipelined frames past [`MAX_IO_BYTES`]). Retries
+    /// once over a fresh connection if the socket breaks.
     ///
     /// # Errors
     ///
     /// Transport, checksum, and server failures.
     pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, NetError> {
-        let mut op = trace::span_or_root(names::CLIENT_READ);
-        op.set_bytes(len as u64);
-        let chunks = chunk_spans(offset, len);
-        let mut out = vec![0u8; len];
-        self.with_conn(true, |conn| {
-            conn.pipelined(
-                chunks.len(),
-                |i| Request::Read {
-                    offset: chunks[i].0,
-                    len: chunks[i].2 as u32,
-                },
-                |i, resp| {
-                    let (_, span_off, want) = chunks[i];
-                    match resp {
-                        Response::Data(data) if data.len() == want => {
-                            out[span_off..span_off + want].copy_from_slice(&data);
-                            Ok(())
-                        }
-                        Response::Data(data) => Err(NetError::Protocol(format!(
-                            "READ returned {} bytes, wanted {want}",
-                            data.len()
-                        ))),
-                        other => Err(unexpected("READ", &other)),
-                    }
-                },
-            )
-        })
-        .inspect_err(|_| op.fail())?;
-        Ok(out)
+        let batch = IoBatch::from(vec![IoOp::Read { offset, len }]);
+        match self
+            .send_batch(&batch, true, names::CLIENT_READ)?
+            .results
+            .pop()
+        {
+            Some(OpResult::Read(data)) => Ok(data),
+            _ => Err(NetError::Protocol(
+                "a one-read batch returned no read".into(),
+            )),
+        }
     }
 
-    /// Writes `data` at global byte `offset` (chunked + pipelined),
-    /// aggregating the per-chunk summaries. Never auto-retried: after a
-    /// transport failure the caller cannot know which chunks landed,
-    /// and reissuing a write is the caller's decision.
+    /// Writes `data` at global byte `offset`: a one-op batch (split
+    /// into pipelined frames past [`MAX_IO_BYTES`]). Never
+    /// auto-retried: after a transport failure the caller cannot know
+    /// which frames landed, and reissuing a write is the caller's
+    /// decision.
     ///
     /// # Errors
     ///
     /// Transport, checksum, and server failures.
-    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteSummary, NetError> {
-        let mut op = trace::span_or_root(names::CLIENT_WRITE);
-        op.set_bytes(data.len() as u64);
-        let chunks = chunk_spans(offset, data.len());
-        let mut total = WriteSummary::default();
-        self.with_conn(false, |conn| {
-            conn.pipelined(
-                chunks.len(),
-                |i| {
-                    let (at, span_off, len) = chunks[i];
-                    Request::Write {
-                        offset: at,
-                        data: data[span_off..span_off + len].to_vec(),
-                    }
-                },
-                |_, resp| match resp {
-                    Response::Written(w) => {
-                        total.absorb(&w);
-                        Ok(())
-                    }
-                    other => Err(unexpected("WRITE", &other)),
-                },
-            )
-        })
-        .inspect_err(|_| op.fail())?;
-        Ok(total)
+    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, NetError> {
+        let batch = IoBatch::from(vec![IoOp::Write {
+            offset,
+            data: data.to_vec(),
+        }]);
+        Ok(self.send_batch(&batch, false, names::CLIENT_WRITE)?.write)
     }
 
     /// Submits a scatter-gather batch: every op travels in one BATCH
@@ -327,7 +289,20 @@ impl Client {
     /// Transport, checksum, and server failures; a failing op aborts
     /// the whole batch server-side.
     pub fn submit(&self, batch: &IoBatch) -> Result<BatchResult, NetError> {
-        let mut op = trace::span_or_root(names::CLIENT_SUBMIT);
+        self.send_batch(batch, true, names::CLIENT_SUBMIT)
+    }
+
+    /// The one data path: packs `batch` into frames, sends them under
+    /// a client span named `span`, and stitches the replies back into
+    /// per-op results. `idempotent` picks the [`Client::with_conn`]
+    /// retry policy.
+    fn send_batch(
+        &self,
+        batch: &IoBatch,
+        idempotent: bool,
+        span: &'static str,
+    ) -> Result<BatchResult, NetError> {
+        let mut op = trace::span_or_root(span);
         op.set_bytes(batch.ops().iter().map(IoOp::byte_len).sum::<usize>() as u64);
         let frames = batch_frames(batch.ops());
         let mut results = seed_results(batch.ops());
@@ -344,7 +319,7 @@ impl Client {
         // cloned per send; its batch id is minted once, before any
         // send, so a retry reissues it.
         let batch_ids: Vec<u64> = frames.iter().map(|_| next_batch_id()).collect();
-        self.with_conn(true, |conn| {
+        self.with_conn(idempotent, |conn| {
             let mut request = |i: usize| Request::Batch {
                 batch_id: batch_ids[i],
                 ops: frames[i].ops.clone(),
@@ -473,8 +448,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport or server failures, and [`NetError::Remote`] from a
-    /// pre-v3 server that does not know the TRACE opcode.
+    /// Transport or server failures.
     pub fn pull_traces(&self) -> Result<Vec<WireTrace>, NetError> {
         match self.with_conn(true, |conn| conn.call(&Request::Trace))? {
             Response::Traces(traces) => Ok(traces),
@@ -556,9 +530,7 @@ fn apply_batch_response(
                 }
                 out[span_off..span_off + data.len()].copy_from_slice(&data);
             }
-            (BatchReply::Written(w), true, OpResult::Write(total)) => {
-                total.absorb(&write_outcome(&w));
-            }
+            (BatchReply::Written(w), true, OpResult::Write(total)) => total.absorb(&w),
             _ => {
                 return Err(NetError::Protocol(
                     "batch reply kind does not match its op".into(),
@@ -622,20 +594,6 @@ fn next_batch_id() -> u64 {
 
 fn unexpected(what: &str, got: &Response) -> NetError {
     NetError::Protocol(format!("unexpected response to {what}: {got:?}"))
-}
-
-/// Splits `[offset, offset+len)` into `MAX_IO_BYTES`-capped chunks:
-/// `(global_offset, offset_into_span, chunk_len)`.
-fn chunk_spans(offset: u64, len: usize) -> Vec<(u64, usize, usize)> {
-    let cap = MAX_IO_BYTES as usize;
-    let mut out = Vec::new();
-    let mut at = 0usize;
-    while at < len {
-        let piece = cap.min(len - at);
-        out.push((offset + at as u64, at, piece));
-        at += piece;
-    }
-    out
 }
 
 fn store_status(w: &WireShardStatus) -> Result<StoreStatus, NetError> {

@@ -10,7 +10,7 @@ use stair_device::{
 use stair_store::{shard_health, StoreStatus, StripeStore};
 
 use crate::placement::split_batch;
-use crate::protocol::{RepairSummary, ScrubSummary, WriteSummary};
+use crate::protocol::{RepairSummary, ScrubSummary};
 use crate::{Client, NetError, ShardSet};
 
 /// Opens the backend a spec names as a data-path device.
@@ -84,16 +84,6 @@ fn device_status(backend: &str, statuses: &[StoreStatus]) -> Result<DeviceStatus
         shards,
         cache: None,
     })
-}
-
-pub(crate) fn write_outcome(w: &WriteSummary) -> WriteOutcome {
-    WriteOutcome {
-        bytes: w.bytes,
-        blocks_written: w.blocks_written,
-        stripes_touched: w.stripes_touched,
-        full_stripe_encodes: w.full_stripe_encodes,
-        delta_updates: w.delta_updates,
-    }
 }
 
 /// Stitches one sub-batch's results back into the global result slots:
@@ -171,8 +161,7 @@ impl BlockDevice for ShardSet {
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
-        let report = ShardSet::write_at(self, offset, data)?;
-        Ok(stair_store::write_outcome(&report, data.len() as u64))
+        Ok(ShardSet::write_at(self, offset, data)?)
     }
 
     /// Splits the batch by placement and executes the shard groups in
@@ -287,7 +276,7 @@ impl BlockDevice for Client {
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
-        Ok(write_outcome(&Client::write_at(self, offset, data)?))
+        Ok(Client::write_at(self, offset, data)?)
     }
 
     fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {

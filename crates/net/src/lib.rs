@@ -10,15 +10,16 @@
 //!   glued into a single logical block space by a deterministic
 //!   round-robin [`Placement`] map (one placement range = one stripe);
 //! * **[`protocol`]** — a versioned, length-prefixed binary protocol
-//!   (HELLO/STATUS/READ/WRITE/FLUSH/FAIL/SCRUB/REPAIR/SHUTDOWN) with
-//!   request IDs for pipelining and Fletcher-32 checksums on every
-//!   response payload;
+//!   (HELLO/STATUS/FLUSH/FAIL/SCRUB/REPAIR/SHUTDOWN/BATCH/METRICS/TRACE)
+//!   with request IDs for pipelining and Fletcher-32 checksums on every
+//!   response payload; all data travels in BATCH frames;
 //! * **[`Server`]** — a multi-threaded TCP service on `std::net`: one
-//!   reader thread per connection, a fixed worker pool, and per-shard
-//!   write batching so adjacent small writes coalesce into a single
-//!   parity-delta pass in the store;
-//! * **[`Client`]** — a blocking, connection-reusing client that
-//!   pipelines large transfers and ships batches in one round trip;
+//!   reader thread per connection and a fixed worker pool that runs
+//!   each BATCH as one shard-set submit, so small writes landing in
+//!   the same stripe share a single parity-delta pass in the store;
+//! * **[`Client`]** — a blocking, connection-reusing client whose
+//!   `read_at`/`write_at` are one-op batches sent like `submit`: one
+//!   round trip per batch, frames pipelined past the per-frame cap;
 //! * **[`json`]** — a dependency-free JSON builder for the `--json`
 //!   surfaces of the CLI and benchmarks;
 //! * **[`open_device`] / [`open_admin`]** — the registry turning a

@@ -30,22 +30,26 @@
 //! `b"STAIRNET"` plus [`PROTOCOL_VERSION`], and the server answers with
 //! its own version and the store shape ([`ServerInfo`]). Each side
 //! requires the other to speak exactly [`PROTOCOL_VERSION`] and refuses
-//! any other version at HELLO — there is one wire format, v4: twelve
+//! any other version at HELLO — there is one wire format, v5: ten
 //! opcodes, optional trace context (the opcode high bit, above), BATCH
 //! requests that open with a client-chosen `[u64 batch_id]` (so a batch
 //! reissued after a redial is identifiable server-side), and STATUS
 //! shards that carry `[u8 clean_shutdown] [u64 replayed_records]`.
+//!
+//! Data moves only in BATCH frames: a plain read or write is a one-op
+//! batch, so there is one request shape and one reply shape for every
+//! byte the service stores or returns.
 
 use std::io::{Read, Write};
 
-use stair_device::IoOp;
+use stair_device::{IoOp, WriteOutcome};
 use stair_obs::{HistogramSnapshot, MetricsSnapshot, SpanCtx, TraceEvent, BUCKETS};
 use stair_store::checksum::fletcher32;
 
 use crate::NetError;
 
 /// Protocol version this build speaks; HELLO refuses every other.
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 /// High bit of the request opcode byte: set when the payload is
 /// prefixed with a `[u64 trace_id][u64 span_id]` span context.
 pub const TRACE_FLAG: u8 = 0x80;
@@ -54,10 +58,9 @@ pub const MAGIC: &[u8; 8] = b"STAIRNET";
 /// Upper bound on a frame body; anything larger is a protocol error
 /// (prevents a corrupt length prefix from allocating gigabytes).
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
-/// Largest data payload a single READ/WRITE request may carry; clients
-/// split bigger transfers into multiple pipelined requests. A BATCH
-/// frame's combined byte budget (write data plus requested read
-/// lengths) honours the same cap.
+/// Largest byte budget one BATCH frame may carry (write data plus
+/// requested read lengths); clients split bigger transfers into
+/// multiple pipelined frames.
 pub const MAX_IO_BYTES: u32 = 4 * 1024 * 1024;
 /// Most ops one BATCH frame may carry.
 pub const MAX_BATCH_OPS: u32 = 4096;
@@ -70,37 +73,32 @@ pub enum Opcode {
     Hello = 1,
     /// Per-shard health and geometry snapshot.
     Status = 2,
-    /// Read a byte span of the global block space.
-    Read = 3,
-    /// Write a byte span of the global block space.
-    Write = 4,
     /// Persist checksum tables, health records, and device data.
-    Flush = 5,
+    Flush = 3,
     /// Declare a device failed, or corrupt a sector burst, on one shard.
-    Fail = 6,
+    Fail = 4,
     /// Run a scrub pass over every shard.
-    Scrub = 7,
+    Scrub = 5,
     /// Run an online repair pass over every shard.
-    Repair = 8,
+    Repair = 6,
     /// Ask the server to stop accepting work and exit its run loop.
-    Shutdown = 9,
-    /// Submit many read/write ops as one frame.
-    Batch = 10,
+    Shutdown = 7,
+    /// Read and write byte spans of the global block space: every data
+    /// transfer is a batch of one or more ops.
+    Batch = 8,
     /// Pull the server's metrics snapshot.
-    Metrics = 11,
+    Metrics = 9,
     /// Pull the server's flight recorder.
-    Trace = 12,
+    Trace = 10,
 }
 
 impl Opcode {
     /// Every opcode, in discriminant order. Keep in sync with the enum
     /// — stair-check (wire-constants) and the density test below both
     /// fail the build if a variant is missing here.
-    pub const ALL: [Opcode; 12] = [
+    pub const ALL: [Opcode; 10] = [
         Opcode::Hello,
         Opcode::Status,
-        Opcode::Read,
-        Opcode::Write,
         Opcode::Flush,
         Opcode::Fail,
         Opcode::Scrub,
@@ -117,8 +115,6 @@ impl Opcode {
         match self {
             Opcode::Hello => "hello",
             Opcode::Status => "status",
-            Opcode::Read => "read",
-            Opcode::Write => "write",
             Opcode::Flush => "flush",
             Opcode::Fail => "fail",
             Opcode::Scrub => "scrub",
@@ -134,16 +130,14 @@ impl Opcode {
         Ok(match b {
             1 => Opcode::Hello,
             2 => Opcode::Status,
-            3 => Opcode::Read,
-            4 => Opcode::Write,
-            5 => Opcode::Flush,
-            6 => Opcode::Fail,
-            7 => Opcode::Scrub,
-            8 => Opcode::Repair,
-            9 => Opcode::Shutdown,
-            10 => Opcode::Batch,
-            11 => Opcode::Metrics,
-            12 => Opcode::Trace,
+            3 => Opcode::Flush,
+            4 => Opcode::Fail,
+            5 => Opcode::Scrub,
+            6 => Opcode::Repair,
+            7 => Opcode::Shutdown,
+            8 => Opcode::Batch,
+            9 => Opcode::Metrics,
+            10 => Opcode::Trace,
             other => return Err(NetError::Protocol(format!("unknown opcode {other}"))),
         })
     }
@@ -159,20 +153,6 @@ pub enum Request {
     },
     /// Health snapshot of every shard.
     Status,
-    /// Read `len` bytes at global byte `offset`.
-    Read {
-        /// Global byte offset.
-        offset: u64,
-        /// Bytes to read (≤ [`MAX_IO_BYTES`]).
-        len: u32,
-    },
-    /// Write `data` at global byte `offset`.
-    Write {
-        /// Global byte offset.
-        offset: u64,
-        /// Bytes to store (≤ [`MAX_IO_BYTES`]).
-        data: Vec<u8>,
-    },
     /// Persist everything to disk.
     Flush,
     /// Remove a device's backing file on one shard.
@@ -237,8 +217,6 @@ impl Request {
         match self {
             Request::Hello { .. } => Opcode::Hello,
             Request::Status => Opcode::Status,
-            Request::Read { .. } => Opcode::Read,
-            Request::Write { .. } => Opcode::Write,
             Request::Flush => Opcode::Flush,
             Request::FailDevice { .. } | Request::CorruptSectors { .. } => Opcode::Fail,
             Request::Scrub { .. } => Opcode::Scrub,
@@ -362,28 +340,6 @@ pub struct WireShardStatus {
     pub replayed_records: u64,
 }
 
-/// Summary of a server-side write (mirrors [`stair_store::WriteReport`],
-/// plus how many queued requests were coalesced into the same store
-/// pass). When several requests share one pass, the pass counters
-/// (`blocks_written` … `delta_updates`) are attributed to exactly one of
-/// them and the rest carry zeros, so summing the summaries of a chunked
-/// transfer yields exact totals.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WriteSummary {
-    /// Bytes this request stored.
-    pub bytes: u64,
-    /// Logical blocks written (attributed once per coalesced pass).
-    pub blocks_written: u64,
-    /// Stripes touched (attributed once per coalesced pass).
-    pub stripes_touched: u64,
-    /// Full-stripe re-encodes (attributed once per coalesced pass).
-    pub full_stripe_encodes: u64,
-    /// Parity-delta updates (attributed once per coalesced pass).
-    pub delta_updates: u64,
-    /// Requests sharing the coalesced pass (1 = this one alone).
-    pub coalesced: u32,
-}
-
 /// Aggregate scrub outcome across shards.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScrubSummary {
@@ -397,21 +353,6 @@ pub struct ScrubSummary {
     pub unavailable_devices: u64,
     /// Stale bad-sector records cleared.
     pub records_cleared: u64,
-}
-
-impl WriteSummary {
-    /// Folds another chunk's summary into this one. `coalesced` takes
-    /// the max (it counts requests sharing one store pass, not an
-    /// additive total); everything else sums, so aggregating a chunked
-    /// transfer yields exact totals.
-    pub fn absorb(&mut self, w: &WriteSummary) {
-        self.bytes += w.bytes;
-        self.blocks_written += w.blocks_written;
-        self.stripes_touched += w.stripes_touched;
-        self.full_stripe_encodes += w.full_stripe_encodes;
-        self.delta_updates += w.delta_updates;
-        self.coalesced = self.coalesced.max(w.coalesced);
-    }
 }
 
 impl ScrubSummary {
@@ -448,7 +389,7 @@ pub enum BatchReply {
     /// The bytes a read op returned.
     Data(Vec<u8>),
     /// What a write op did.
-    Written(WriteSummary),
+    Written(WriteOutcome),
 }
 
 /// A parsed response.
@@ -458,10 +399,6 @@ pub enum Response {
     Hello(ServerInfo),
     /// STATUS answer: one entry per shard, in shard order.
     Status(Vec<WireShardStatus>),
-    /// READ answer: the requested bytes.
-    Data(Vec<u8>),
-    /// WRITE answer.
-    Written(WriteSummary),
     /// FLUSH answer.
     Flushed,
     /// FAIL answer.
@@ -586,15 +523,6 @@ fn encode_request_payload(req: &Request) -> Vec<u8> {
         | Request::Shutdown
         | Request::Metrics
         | Request::Trace => {}
-        Request::Read { offset, len } => {
-            e.u64(*offset);
-            e.u32(*len);
-        }
-        Request::Write { offset, data } => {
-            e.u64(*offset);
-            e.u32(data.len() as u32);
-            e.bytes(data);
-        }
         Request::FailDevice { shard, device } => {
             e.u8(0);
             e.u32(*shard);
@@ -649,27 +577,6 @@ fn decode_request_payload(op: Opcode, payload: &[u8]) -> Result<Request, NetErro
             Request::Hello { version: d.u32()? }
         }
         Opcode::Status => Request::Status,
-        Opcode::Read => {
-            let offset = d.u64()?;
-            let len = d.u32()?;
-            if len > MAX_IO_BYTES {
-                return Err(NetError::Protocol(format!(
-                    "READ of {len} bytes exceeds the {MAX_IO_BYTES}-byte request cap"
-                )));
-            }
-            Request::Read { offset, len }
-        }
-        Opcode::Write => {
-            let offset = d.u64()?;
-            let len = d.u32()? as usize;
-            let data = d.take(len)?.to_vec();
-            if data.len() as u32 > MAX_IO_BYTES {
-                return Err(NetError::Protocol(format!(
-                    "WRITE of {len} bytes exceeds the {MAX_IO_BYTES}-byte request cap"
-                )));
-            }
-            Request::Write { offset, data }
-        }
         Opcode::Flush => Request::Flush,
         Opcode::Fail => match d.u8()? {
             0 => Request::FailDevice {
@@ -697,8 +604,8 @@ fn decode_request_payload(op: Opcode, payload: &[u8]) -> Result<Request, NetErro
                 )));
             }
             // The combined byte budget (write payloads plus requested
-            // read lengths) shares the single-request cap, so a batch
-            // frame can never demand more memory than a READ/WRITE.
+            // read lengths) is capped, so no frame can make the server
+            // allocate more than MAX_IO_BYTES of data.
             let mut budget = 0u64;
             let mut ops = Vec::with_capacity(count as usize);
             for _ in 0..count {
@@ -946,19 +853,6 @@ fn encode_response_payload(resp: &Response) -> (u8, Vec<u8>) {
             }
             Opcode::Status as u8
         }
-        Response::Data(data) => {
-            e.bytes(data);
-            Opcode::Read as u8
-        }
-        Response::Written(w) => {
-            e.u64(w.bytes);
-            e.u64(w.blocks_written);
-            e.u64(w.stripes_touched);
-            e.u64(w.full_stripe_encodes);
-            e.u64(w.delta_updates);
-            e.u32(w.coalesced);
-            Opcode::Write as u8
-        }
         Response::Flushed => Opcode::Flush as u8,
         Response::Failed => Opcode::Fail as u8,
         Response::Batched(replies) => {
@@ -977,7 +871,6 @@ fn encode_response_payload(resp: &Response) -> (u8, Vec<u8>) {
                         e.u64(w.stripes_touched);
                         e.u64(w.full_stripe_encodes);
                         e.u64(w.delta_updates);
-                        e.u32(w.coalesced);
                     }
                 }
             }
@@ -1046,18 +939,6 @@ fn decode_response_payload(status: u8, payload: &[u8]) -> Result<Response, NetEr
             }
             Response::Status(shards)
         }
-        Opcode::Read => {
-            let rest = d.buf.len() - d.at;
-            Response::Data(d.take(rest)?.to_vec())
-        }
-        Opcode::Write => Response::Written(WriteSummary {
-            bytes: d.u64()?,
-            blocks_written: d.u64()?,
-            stripes_touched: d.u64()?,
-            full_stripe_encodes: d.u64()?,
-            delta_updates: d.u64()?,
-            coalesced: d.u32()?,
-        }),
         Opcode::Flush => Response::Flushed,
         Opcode::Fail => Response::Failed,
         Opcode::Batch => {
@@ -1074,13 +955,12 @@ fn decode_response_payload(status: u8, payload: &[u8]) -> Result<Response, NetEr
                         let len = d.u32()? as usize;
                         BatchReply::Data(d.take(len)?.to_vec())
                     }
-                    1 => BatchReply::Written(WriteSummary {
+                    1 => BatchReply::Written(WriteOutcome {
                         bytes: d.u64()?,
                         blocks_written: d.u64()?,
                         stripes_touched: d.u64()?,
                         full_stripe_encodes: d.u64()?,
                         delta_updates: d.u64()?,
-                        coalesced: d.u32()?,
                     }),
                     k => return Err(NetError::Protocol(format!("unknown batch reply kind {k}"))),
                 });
@@ -1295,14 +1175,6 @@ mod tests {
             version: PROTOCOL_VERSION,
         });
         round_trip_request(Request::Status);
-        round_trip_request(Request::Read {
-            offset: 123456789,
-            len: 4096,
-        });
-        round_trip_request(Request::Write {
-            offset: 42,
-            data: (0..=255).collect(),
-        });
         round_trip_request(Request::Flush);
         round_trip_request(Request::FailDevice {
             shard: 3,
@@ -1336,6 +1208,13 @@ mod tests {
             batch_id: 0,
             ops: vec![],
         });
+        round_trip_request(Request::Batch {
+            batch_id: 1,
+            ops: vec![IoOp::Write {
+                offset: 42,
+                data: (0..=255).collect(),
+            }],
+        });
         round_trip_request(Request::Metrics);
         round_trip_request(Request::Trace);
     }
@@ -1362,18 +1241,16 @@ mod tests {
     fn untraced_frames_carry_no_flag_or_context() {
         // write_request (and write_request_traced with None) must emit
         // the bare frame: no flag bit, no context prefix.
-        let req = Request::Read {
-            offset: 0x0102_0304_0506_0708,
-            len: 4096,
+        let req = Request::Scrub {
+            threads: 0x0102_0304,
         };
         let mut wire = Vec::new();
         write_request(&mut wire, 0x0A0B_0C0D_0E0F_1011, &req).unwrap();
         let mut expected = Vec::new();
-        expected.extend_from_slice(&21u32.to_le_bytes()); // 9 + 12
+        expected.extend_from_slice(&13u32.to_le_bytes()); // 9 + 4
         expected.extend_from_slice(&0x0A0B_0C0D_0E0F_1011u64.to_le_bytes());
-        expected.push(3); // Opcode::Read, high bit clear
-        expected.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
-        expected.extend_from_slice(&4096u32.to_le_bytes());
+        expected.push(5); // Opcode::Scrub, high bit clear
+        expected.extend_from_slice(&0x0102_0304u32.to_le_bytes());
         assert_eq!(wire, expected);
 
         let mut traced_none = Vec::new();
@@ -1584,15 +1461,6 @@ mod tests {
             clean_shutdown: false,
             replayed_records: 31,
         }]));
-        round_trip_response(Response::Data(vec![0xAB; 1000]));
-        round_trip_response(Response::Written(WriteSummary {
-            bytes: 512,
-            blocks_written: 4,
-            stripes_touched: 1,
-            full_stripe_encodes: 0,
-            delta_updates: 4,
-            coalesced: 2,
-        }));
         round_trip_response(Response::Flushed);
         round_trip_response(Response::Failed);
         round_trip_response(Response::Scrubbed(ScrubSummary {
@@ -1610,13 +1478,12 @@ mod tests {
         }));
         round_trip_response(Response::Batched(vec![
             BatchReply::Data(vec![7; 96]),
-            BatchReply::Written(WriteSummary {
+            BatchReply::Written(WriteOutcome {
                 bytes: 64,
                 blocks_written: 1,
                 stripes_touched: 1,
                 full_stripe_encodes: 0,
                 delta_updates: 1,
-                coalesced: 1,
             }),
             BatchReply::Data(Vec::new()),
         ]));
@@ -1659,8 +1526,8 @@ mod tests {
             other => panic!("expected Remote, got {other:?}"),
         }
         assert!(matches!(
-            ok_or_remote(Response::Data(vec![1, 2])),
-            Ok(Response::Data(_))
+            ok_or_remote(Response::Batched(vec![BatchReply::Data(vec![1, 2])])),
+            Ok(Response::Batched(_))
         ));
         assert!(matches!(
             ok_or_remote(Response::Flushed),
@@ -1669,40 +1536,10 @@ mod tests {
     }
 
     #[test]
-    fn write_summaries_absorb_chunked_totals() {
-        let mut total = WriteSummary {
-            bytes: 100,
-            blocks_written: 4,
-            stripes_touched: 1,
-            full_stripe_encodes: 1,
-            delta_updates: 0,
-            coalesced: 3,
-        };
-        total.absorb(&WriteSummary {
-            bytes: 28,
-            blocks_written: 1,
-            stripes_touched: 1,
-            full_stripe_encodes: 0,
-            delta_updates: 1,
-            coalesced: 2,
-        });
-        assert_eq!(
-            total,
-            WriteSummary {
-                bytes: 128,
-                blocks_written: 5,
-                stripes_touched: 2,
-                full_stripe_encodes: 1,
-                delta_updates: 1,
-                coalesced: 3,
-            }
-        );
-    }
-
-    #[test]
     fn corrupted_response_payload_fails_checksum() {
         let mut wire = Vec::new();
-        write_response(&mut wire, 1, &Response::Data(vec![1, 2, 3, 4])).unwrap();
+        let resp = Response::Batched(vec![BatchReply::Data(vec![1, 2, 3, 4])]);
+        write_response(&mut wire, 1, &resp).unwrap();
         let last = wire.len() - 1;
         wire[last] ^= 0xFF;
         match read_response(&mut wire.as_slice()) {
@@ -1724,14 +1561,17 @@ mod tests {
             read_request(&mut huge.as_slice()),
             Err(NetError::Protocol(_))
         ));
-        // A READ larger than the request cap is refused at decode time.
+        // A read larger than the request cap is refused at decode time.
         let mut wire = Vec::new();
         write_request(
             &mut wire,
             1,
-            &Request::Read {
-                offset: 0,
-                len: MAX_IO_BYTES + 1,
+            &Request::Batch {
+                batch_id: 0,
+                ops: vec![IoOp::Read {
+                    offset: 0,
+                    len: MAX_IO_BYTES as usize + 1,
+                }],
             },
         )
         .unwrap();

@@ -11,13 +11,12 @@
 //! * responses are written back under a per-connection mutex, tagged
 //!   with the request ID, so a pipelining client may see completions out
 //!   of order;
-//! * **write batching**: a worker that pops a WRITE drains the other
-//!   WRITEs queued behind it (up to a batch cap) and sorts them by
-//!   offset; adjacent spans are merged into a single store pass, so
-//!   small writes landing in the same stripe coalesce into one
-//!   parity-delta update instead of one per request. Disjoint writes
-//!   commute, so offset order is safe; if any two writes in a batch
-//!   overlap, the batch falls back to arrival order with no merging.
+//! * every byte of data arrives in a BATCH frame and runs through one
+//!   [`BlockDevice::submit`] on the shard set: split by placement,
+//!   shards in parallel, one stripe lock and one re-encode-vs-parity-
+//!   delta decision per touched stripe. A batch of only reads is
+//!   charged to the `read` request metrics, one of only writes to
+//!   `write`, and a mixed one to `batch`.
 //!
 //! Shutdown (a SHUTDOWN frame, or [`ServerHandle::shutdown`]) stops the
 //! accept loop, drains the queue, joins every thread, and flushes the
@@ -36,7 +35,7 @@ use stair_obs::{MetricsRegistry, SpanCtx};
 
 use crate::protocol::{
     read_request_traced, write_response, BatchReply, RepairSummary, Request, Response,
-    ScrubSummary, ServerInfo, WireTrace, WriteSummary, PROTOCOL_VERSION,
+    ScrubSummary, ServerInfo, WireTrace, PROTOCOL_VERSION,
 };
 use crate::shards::{wire_status, ShardSet};
 use crate::NetError;
@@ -46,16 +45,11 @@ use crate::NetError;
 pub struct ServerConfig {
     /// Worker threads executing requests.
     pub workers: usize,
-    /// Most WRITE requests one worker batches into a single pass.
-    pub write_batch: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            workers: 4,
-            write_batch: 32,
-        }
+        ServerConfig { workers: 4 }
     }
 }
 
@@ -265,10 +259,9 @@ impl Server {
         for _ in 0..self.config.workers {
             let state = Arc::clone(&self.state);
             let shards = Arc::clone(&self.shards);
-            let batch = self.config.write_batch.max(1);
             let info = self.info();
             workers.push(std::thread::spawn(move || {
-                worker_loop(&state, &shards, &info, batch)
+                worker_loop(&state, &shards, &info)
             }));
         }
 
@@ -388,7 +381,7 @@ fn reader_loop(stream: TcpStream, state: &State, info: &ServerInfo, addr: Socket
     }
 }
 
-fn worker_loop(state: &State, shards: &ShardSet, info: &ServerInfo, batch: usize) {
+fn worker_loop(state: &State, shards: &ShardSet, info: &ServerInfo) {
     loop {
         let job = {
             let mut queue = state
@@ -408,117 +401,68 @@ fn worker_loop(state: &State, shards: &ShardSet, info: &ServerInfo, batch: usize
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-        if let Request::Write { offset, data } = job.req {
-            let mut writes = vec![QueuedWrite {
-                writer: job.writer,
-                id: job.id,
-                offset,
-                data,
-                received: job.received,
-                ctx: job.ctx,
-            }];
-            {
-                let mut queue = state
-                    .queue
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                let mut i = 0;
-                while i < queue.len() && writes.len() < batch {
-                    if matches!(queue[i].req, Request::Write { .. }) {
-                        let Some(Job {
-                            writer,
-                            id,
-                            req: Request::Write { offset, data },
-                            received,
-                            ctx,
-                        }) = queue.remove(i)
-                        else {
-                            // Guarded by the matches! above; bail rather
-                            // than panic if the queue mutates underfoot.
-                            break;
-                        };
-                        writes.push(QueuedWrite {
-                            writer,
-                            id,
-                            offset,
-                            data,
-                            received,
-                            ctx,
-                        });
-                    } else {
-                        i += 1;
-                    }
-                }
+        let kind = metric_kind(&job.req);
+        let bytes = request_bytes(&job.req);
+        let start = Instant::now();
+        // A traced frame roots a server-side span tree: the root
+        // starts when the reader parsed the frame and joins the
+        // client's trace; the queue wait is recorded as the interval
+        // between parse and this worker popping the job.
+        let mut root = job.ctx.map(|ctx| {
+            let g =
+                trace::wire_root_at(names::SRV_REQUEST, ctx.trace_id, ctx.span_id, job.received);
+            trace::span_at(
+                names::SRV_QUEUE,
+                job.received,
+                start.saturating_duration_since(job.received),
+            );
+            g
+        });
+        let resp = {
+            let _exec = trace::span(names::SRV_EXEC);
+            execute(shards, info, &state.registry, job.req)
+        };
+        let elapsed = start.elapsed();
+        record_request(&state.registry, kind, bytes, elapsed, &resp);
+        if let Some(g) = root.as_mut() {
+            g.set_bytes(bytes);
+            if matches!(resp, Response::Error(_)) {
+                g.fail();
             }
-            execute_write_batch(shards, &state.registry, writes);
-        } else {
-            let kind = job.req.opcode().name();
-            let bytes = request_bytes(&job.req);
-            let start = Instant::now();
-            // A traced frame roots a server-side span tree: the root
-            // starts when the reader parsed the frame and joins the
-            // client's trace; the queue wait is recorded as the interval
-            // between parse and this worker popping the job.
-            let mut root = job.ctx.map(|ctx| {
-                let g = trace::wire_root_at(
-                    names::SRV_REQUEST,
-                    ctx.trace_id,
-                    ctx.span_id,
-                    job.received,
-                );
-                trace::span_at(
-                    names::SRV_QUEUE,
-                    job.received,
-                    start.saturating_duration_since(job.received),
-                );
-                g
-            });
-            let resp = {
-                let _exec = trace::span(names::SRV_EXEC);
-                execute(shards, info, &state.registry, job.req)
-            };
-            let elapsed = start.elapsed();
-            record_request(&state.registry, kind, bytes, elapsed, &resp);
-            if let Some(g) = root.as_mut() {
-                g.set_bytes(bytes);
-                if matches!(resp, Response::Error(_)) {
-                    g.fail();
-                }
-            }
-            // The root closes before the response frame is written, so
-            // the server trace is recorded by the time the client has
-            // its answer and never outlasts the client span waiting on
-            // it.
-            drop(root);
-            job.writer.send(job.id, &resp);
         }
+        // The root closes before the response frame is written, so
+        // the server trace is recorded by the time the client has
+        // its answer and never outlasts the client span waiting on
+        // it.
+        drop(root);
+        job.writer.send(job.id, &resp);
     }
 }
 
-/// One WRITE pulled off the queue for coalescing, with everything
-/// needed to answer and (if traced) span it.
-struct QueuedWrite {
-    writer: Arc<ConnWriter>,
-    id: u64,
-    offset: u64,
-    data: Vec<u8>,
-    received: Instant,
-    ctx: Option<SpanCtx>,
+/// The metric-name suffix a request is charged to: its opcode's wire
+/// name, except that a BATCH of only reads counts as `read` and one of
+/// only writes as `write` — a plain `read_at`/`write_at` travels as a
+/// one-op batch, and the per-direction latency split stays meaningful.
+fn metric_kind(req: &Request) -> &'static str {
+    match req {
+        Request::Batch { ops, .. } if !ops.is_empty() => {
+            if ops.iter().all(IoOp::is_write) {
+                "write"
+            } else if ops.iter().any(IoOp::is_write) {
+                "batch"
+            } else {
+                "read"
+            }
+        }
+        req => req.opcode().name(),
+    }
 }
 
 /// The byte count a request moves (write payloads plus requested read
 /// lengths); what the journal and throughput counters attribute to it.
 fn request_bytes(req: &Request) -> u64 {
     match req {
-        Request::Read { len, .. } => u64::from(*len),
-        Request::Write { data, .. } => data.len() as u64,
-        Request::Batch { ops, .. } => ops
-            .iter()
-            .map(|op| match op {
-                IoOp::Read { len, .. } => *len as u64,
-                IoOp::Write { data, .. } => data.len() as u64,
-            })
-            .sum(),
+        Request::Batch { ops, .. } => ops.iter().map(|op| op.byte_len() as u64).sum(),
         _ => 0,
     }
 }
@@ -546,133 +490,9 @@ fn record_request(
     registry.record_op(kind, 0, bytes, elapsed, ok);
 }
 
-/// Opens the server-side root and queue-wait spans for one traced
-/// WRITE: the root joins the client's trace starting at frame parse.
-fn traced_write_root(ctx: SpanCtx, received: Instant, bytes: u64) -> trace::SpanGuard {
-    let mut g = trace::wire_root_at(names::SRV_REQUEST, ctx.trace_id, ctx.span_id, received);
-    trace::span_at(names::SRV_QUEUE, received, received.elapsed());
-    g.set_bytes(bytes);
-    g
-}
-
-/// Executes a batch of WRITEs, merging adjacent spans into single store
-/// passes. Any overlap within the batch forces arrival order, unmerged.
-fn execute_write_batch(shards: &ShardSet, registry: &MetricsRegistry, writes: Vec<QueuedWrite>) {
-    let mut order: Vec<usize> = (0..writes.len()).collect();
-    order.sort_by_key(|&i| writes[i].offset);
-    let overlapping = order.windows(2).any(|w| {
-        let a = &writes[w[0]];
-        a.offset + a.data.len() as u64 > writes[w[1]].offset
-    });
-    if overlapping {
-        for w in writes {
-            let start = Instant::now();
-            let mut root = w
-                .ctx
-                .map(|ctx| traced_write_root(ctx, w.received, w.data.len() as u64));
-            let resp = write_one(shards, w.offset, &w.data, 1);
-            record_request(
-                registry,
-                "write",
-                w.data.len() as u64,
-                start.elapsed(),
-                &resp,
-            );
-            if let (Some(g), Response::Error(_)) = (root.as_mut(), &resp) {
-                g.fail();
-            }
-            drop(root);
-            w.writer.send(w.id, &resp);
-        }
-        return;
-    }
-    // Merge adjacent runs (sorted, disjoint, so order is immaterial).
-    let mut at = 0;
-    while at < order.len() {
-        let mut members = vec![order[at]];
-        let run_offset = writes[order[at]].offset;
-        let mut run: Vec<u8> = writes[order[at]].data.clone();
-        at += 1;
-        while at < order.len() && writes[order[at]].offset == run_offset + run.len() as u64 {
-            run.extend_from_slice(&writes[order[at]].data);
-            members.push(order[at]);
-            at += 1;
-        }
-        let coalesced = members.len() as u32;
-        // Every traced member of the run gets its own server root; they
-        // all span the shared store pass, which is the honest picture of
-        // coalescing (one pass serves N requests).
-        let mut roots: Vec<trace::SpanGuard> = members
-            .iter()
-            .filter_map(|&m| {
-                let w = &writes[m];
-                w.ctx
-                    .map(|ctx| traced_write_root(ctx, w.received, w.data.len() as u64))
-            })
-            .collect();
-        let start = Instant::now();
-        let resp = write_one(shards, run_offset, &run, coalesced);
-        let elapsed = start.elapsed();
-        if matches!(resp, Response::Error(_)) {
-            for g in &mut roots {
-                g.fail();
-            }
-        }
-        // Roots close before any member response is written.
-        drop(roots);
-        // Each coalesced member counts as its own request (with its own
-        // byte count) but shares the run's store-pass latency.
-        for &m in &members {
-            record_request(
-                registry,
-                "write",
-                writes[m].data.len() as u64,
-                elapsed,
-                &resp,
-            );
-        }
-        // The store-pass counters are attributed to the run's first
-        // member only; the rest report zeros (plus their own byte count),
-        // so a client summing its chunk summaries gets exact totals
-        // instead of the pass counted once per coalesced request.
-        for (k, &m) in members.iter().enumerate() {
-            let w = &writes[m];
-            let resp = match &resp {
-                Response::Written(ws) => Response::Written(WriteSummary {
-                    bytes: w.data.len() as u64,
-                    ..if k == 0 {
-                        *ws
-                    } else {
-                        WriteSummary {
-                            coalesced,
-                            ..WriteSummary::default()
-                        }
-                    }
-                }),
-                other => other.clone(),
-            };
-            w.writer.send(w.id, &resp);
-        }
-    }
-}
-
-fn write_one(shards: &ShardSet, offset: u64, data: &[u8], coalesced: u32) -> Response {
-    match shards.write_at(offset, data) {
-        Ok(r) => Response::Written(WriteSummary {
-            bytes: data.len() as u64,
-            blocks_written: r.blocks_written as u64,
-            stripes_touched: r.stripes_touched as u64,
-            full_stripe_encodes: r.full_stripe_encodes as u64,
-            delta_updates: r.delta_updates as u64,
-            coalesced,
-        }),
-        Err(e) => Response::Error(e.to_string()),
-    }
-}
-
-/// Executes one non-write request. Takes the request by value so batch
-/// payloads move straight into the shard set's submit instead of being
-/// re-copied per request.
+/// Executes one request. Takes the request by value so batch payloads
+/// move straight into the shard set's submit instead of being re-copied
+/// per request.
 fn execute(
     shards: &ShardSet,
     info: &ServerInfo,
@@ -705,9 +525,8 @@ fn execute(
                 );
                 Response::Traces(traces)
             }
-            Request::Read { offset, len } => Response::Data(shards.read_at(offset, len as usize)?),
-            Request::Write { .. } | Request::Shutdown => {
-                // check: panic-ok the run loop intercepts writes and shutdowns before execute()
+            Request::Shutdown => {
+                // check: panic-ok the reader loop answers SHUTDOWN inline, before execute()
                 unreachable!("handled before execute()")
             }
             // A BATCH executes as one unit through the shard set's
@@ -720,14 +539,7 @@ fn execute(
                         .into_iter()
                         .map(|r| match r {
                             OpResult::Read(data) => BatchReply::Data(data),
-                            OpResult::Write(w) => BatchReply::Written(WriteSummary {
-                                bytes: w.bytes,
-                                blocks_written: w.blocks_written,
-                                stripes_touched: w.stripes_touched,
-                                full_stripe_encodes: w.full_stripe_encodes,
-                                delta_updates: w.delta_updates,
-                                coalesced: 1,
-                            }),
+                            OpResult::Write(w) => BatchReply::Written(w),
                         })
                         .collect(),
                 ),

@@ -10,7 +10,8 @@
 
 use std::path::{Path, PathBuf};
 
-use stair_store::{StoreOptions, StoreStatus, StripeStore, WriteReport};
+use stair_device::WriteOutcome;
+use stair_store::{StoreOptions, StoreStatus, StripeStore};
 
 use crate::placement::Placement;
 use crate::protocol::WireShardStatus;
@@ -198,24 +199,18 @@ impl ShardSet {
     }
 
     /// Writes `data` at global byte `offset`, returning the aggregated
-    /// per-shard write report.
+    /// per-shard write outcome.
     ///
     /// # Errors
     ///
     /// Span errors and store errors propagate.
-    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteReport, NetError> {
-        let mut total = WriteReport::default();
+    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, NetError> {
+        let mut total = WriteOutcome::default();
         for span in self.placement.split(offset, data.len())? {
-            let r = self.stores[span.shard].write_at(
+            total.absorb(&self.stores[span.shard].write_at(
                 span.local_offset,
                 &data[span.span_offset..span.span_offset + span.len],
-            )?;
-            total.blocks_written += r.blocks_written;
-            total.stripes_touched += r.stripes_touched;
-            total.full_stripe_encodes += r.full_stripe_encodes;
-            total.delta_updates += r.delta_updates;
-            total.parity_sectors_patched += r.parity_sectors_patched;
-            total.sectors_healed += r.sectors_healed;
+            )?);
         }
         Ok(total)
     }

@@ -85,7 +85,7 @@ fn idempotent_ops_survive_a_killed_connection_writes_do_not_retry() {
 }
 
 #[test]
-fn write_batches_retry_over_a_killed_connection() {
+fn batched_writes_retry_over_a_killed_connection() {
     let dir = tmpdir("batchretry");
     let set = ShardSet::create(
         &dir,

@@ -95,3 +95,57 @@ fn server_collects_per_opcode_metrics_served_over_the_wire() {
     server.join().expect("join").expect("server run");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn plain_reads_and_writes_are_one_op_batches_charged_by_direction() {
+    // One shard, 4 KiB sectors: a 4 KiB aligned write is exactly one
+    // data block of stripe 0.
+    let dir = tmpdir("exact");
+    let opts = StoreOptions {
+        code: "stair:8,4,2,1-1-2".parse().unwrap(),
+        symbol: 4096,
+        stripes: 2,
+    };
+    let set = ShardSet::create(&dir, 1, &opts).expect("create shard");
+    let server = Server::bind("127.0.0.1:0", set, ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+    let client = Client::connect(&addr).expect("connect");
+
+    // Fill stripe 0, so the next small write patches a written stripe.
+    let stripe_bytes = client.info().range_blocks as usize * 4096;
+    client
+        .write_at(0, &vec![0x3Cu8; stripe_bytes])
+        .expect("fill");
+
+    let delta =
+        |before: &stair_obs::MetricsSnapshot, after: &stair_obs::MetricsSnapshot, name: &str| {
+            after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0)
+        };
+
+    let before = client.metrics().expect("metrics");
+    let w = client.write_at(4096, &[0xC3u8; 4096]).expect("4 KiB write");
+    let after = client.metrics().expect("metrics");
+    assert_eq!(delta(&before, &after, "srv.req.write"), 1);
+    assert_eq!(delta(&before, &after, "srv.req.batch"), 0);
+    assert_eq!(delta(&before, &after, "store.jrnl.appends"), 1);
+    assert_eq!(delta(&before, &after, "store.delta_update_calls"), 1);
+    assert_eq!(delta(&before, &after, "store.encode_passes"), 0);
+    assert_eq!(
+        (w.bytes, w.delta_updates, w.full_stripe_encodes),
+        (4096, 1, 0)
+    );
+
+    let before = after;
+    assert_eq!(
+        client.read_at(4096, 4096).expect("4 KiB read"),
+        [0xC3u8; 4096]
+    );
+    let after = client.metrics().expect("metrics");
+    assert_eq!(delta(&before, &after, "srv.req.read"), 1);
+    assert_eq!(delta(&before, &after, "store.jrnl.appends"), 0);
+
+    client.shutdown_server().expect("shutdown");
+    handle.join().expect("join").expect("server run");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -9,10 +9,10 @@
 //!   oversized length prefixes, checksum damage, bad opcodes.
 
 use proptest::prelude::*;
-use stair_device::IoOp;
+use stair_device::{IoOp, WriteOutcome};
 use stair_net::protocol::{
-    read_request, read_response, write_request, write_response, Request, Response, WriteSummary,
-    MAX_FRAME, PROTOCOL_VERSION,
+    read_request, read_response, write_request, write_response, BatchReply, Opcode, Request,
+    Response, MAX_FRAME, PROTOCOL_VERSION,
 };
 use stair_net::NetError;
 use stair_obs::{HistogramSnapshot, MetricsSnapshot, TraceEvent};
@@ -24,13 +24,20 @@ fn sample_requests() -> Vec<Vec<u8>> {
             version: PROTOCOL_VERSION,
         },
         Request::Status,
-        Request::Read {
-            offset: 123,
-            len: 456,
+        // A plain read and a plain write travel as one-op batches.
+        Request::Batch {
+            batch_id: 1,
+            ops: vec![IoOp::Read {
+                offset: 123,
+                len: 456,
+            }],
         },
-        Request::Write {
-            offset: 9,
-            data: (0..64).collect(),
+        Request::Batch {
+            batch_id: 2,
+            ops: vec![IoOp::Write {
+                offset: 9,
+                data: (0..64).collect(),
+            }],
         },
         Request::Flush,
         Request::FailDevice {
@@ -88,8 +95,8 @@ fn sample_metrics() -> MetricsSnapshot {
 
 fn sample_responses() -> Vec<Vec<u8>> {
     let resps = [
-        Response::Data(vec![1, 2, 3, 4, 5]),
-        Response::Written(WriteSummary::default()),
+        Response::Batched(vec![BatchReply::Data(vec![1, 2, 3, 4, 5])]),
+        Response::Batched(vec![BatchReply::Written(WriteOutcome::default())]),
         Response::Flushed,
         Response::Batched(vec![]),
         Response::Metrics(sample_metrics()),
@@ -160,7 +167,8 @@ proptest! {
         // Response payload flips: bytes past the 17-byte envelope
         // (len + id + status + checksum) are checksummed.
         let mut wire = Vec::new();
-        write_response(&mut wire, 1, &Response::Data(vec![0xAB; 64])).unwrap();
+        let resp = Response::Batched(vec![BatchReply::Data(vec![0xAB; 64])]);
+        write_response(&mut wire, 1, &resp).unwrap();
         let at = 17 + (seed as usize) % (wire.len() - 17);
         wire[at] ^= 0xFF;
         match read_response(&mut wire.as_slice()) {
@@ -199,6 +207,7 @@ fn unknown_opcodes_and_batch_kinds_are_rejected() {
 
     // A BATCH frame whose op kind byte is garbage.
     let mut payload = Vec::new();
+    payload.extend_from_slice(&5u64.to_le_bytes()); // batch id
     payload.extend_from_slice(&1u32.to_le_bytes()); // one op
     payload.push(7); // unknown kind
     payload.extend_from_slice(&0u64.to_le_bytes());
@@ -206,7 +215,7 @@ fn unknown_opcodes_and_batch_kinds_are_rejected() {
     let mut frame = Vec::new();
     frame.extend_from_slice(&(9 + payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&1u64.to_le_bytes());
-    frame.push(10); // Opcode::Batch
+    frame.push(Opcode::Batch as u8);
     frame.extend_from_slice(&payload);
     assert!(matches!(
         read_request(&mut frame.as_slice()),

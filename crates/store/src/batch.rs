@@ -1,9 +1,10 @@
-//! The stripe store's native batched submit: the whole point of
-//! `stair_device::IoBatch` made concrete.
+//! The stripe store's one data path: `stair_device::IoBatch` made
+//! concrete. Every read and write runs through [`StripeStore::submit`]
+//! — `read_at`/`write_at` submit each stripe's piece of their span as
+//! a one-op batch.
 //!
-//! The per-op path pays one stripe-lock acquisition and one codec pass
-//! per call even when 64 small writes land in the same stripe. Here the
-//! batch is grouped **per stripe** first, so each touched stripe costs:
+//! The batch is grouped **per stripe** first, so even 64 small writes
+//! landing in the same stripe cost, per touched stripe:
 //!
 //! * **one** lock acquisition,
 //! * **one** re-encode-vs-parity-delta decision — writes covering every
@@ -26,7 +27,6 @@ use std::ops::Range;
 use stair_code::{CellIdx, StripeBuf};
 use stair_device::{seed_results, BatchResult, IoBatch, IoOp, OpResult, WriteOutcome};
 
-use crate::device_impl::write_outcome;
 use crate::{Error, StripeStore};
 
 /// A stripe's journal payload: the cells to record, and whether they
@@ -60,8 +60,11 @@ impl StripeStore {
     /// * [`Error::OutOfRange`] if any op's span exceeds capacity — the
     ///   whole batch is validated up front, before any side effects;
     /// * [`Error::Unrecoverable`] when a needed stripe carries more
-    ///   damage than the codec's coverage (the first failing stripe
-    ///   aborts the rest; earlier stripes stay written).
+    ///   damage than the codec's coverage. Every stripe is staged in
+    ///   memory before the group commit writes anything, so such a
+    ///   stripe aborts the whole batch with nothing written (a
+    ///   conflicting batch runs op by op instead, and the ops before
+    ///   the failing one stay applied).
     pub fn submit(&self, batch: &IoBatch) -> Result<BatchResult, Error> {
         if batch.has_conflicts() {
             // The fallback mutates op by op, so validate the whole
@@ -129,12 +132,29 @@ impl StripeStore {
             .iter()
             .map(|s| self.write_back_targets(&s.stripe, s.touched.as_ref()))
             .collect();
-        // Journal payloads diverge from the write-back lists for
-        // full-stripe stages: those journal a data image (parity
-        // recomputed at replay) while still persisting every cell.
+        // A partial stage journals its exact write-back targets as
+        // literal post-images. A full-stripe stage journals a **data
+        // image** — only the data cells, parity recomputed at replay —
+        // cutting the record to `k/n` of the stripe and with it the
+        // bytes the commit fsync has to flush, while still persisting
+        // every cell. Data cells on `Failed` devices are included (the
+        // in-memory stripe knows their contents even when no disk
+        // does), so replay re-encodes from a complete image.
         let records: Vec<JournalRecord> = staged
             .iter()
-            .map(|s| self.journal_cells(&s.stripe, s.touched.as_ref()))
+            .zip(&targets)
+            .map(|(s, cells)| match s.touched {
+                Some(_) => (cells.clone(), false),
+                None => (
+                    self.shared
+                        .geometry
+                        .data_cells
+                        .iter()
+                        .map(|&cell| (cell, s.stripe.cell(cell)))
+                        .collect(),
+                    true,
+                ),
+            })
             .collect();
         let reserve: Vec<usize> = records.iter().map(|(cells, _)| cells.len()).collect();
         let mut guard = sh.journal.begin(&reserve, || {
@@ -156,16 +176,14 @@ impl StripeStore {
     }
 
     /// The conflict fallback: ops one at a time, in submission order,
-    /// through the ordinary per-op paths.
+    /// each through `read_at`/`write_at` (one-op batches, which cannot
+    /// conflict).
     fn submit_in_order(&self, batch: &IoBatch) -> Result<BatchResult, Error> {
         let mut results = Vec::with_capacity(batch.len());
         for op in batch.ops() {
             results.push(match op {
                 IoOp::Read { offset, len } => OpResult::Read(self.read_at(*offset, *len)?),
-                IoOp::Write { offset, data } => {
-                    let report = self.write_at(*offset, data)?;
-                    OpResult::Write(write_outcome(&report, data.len() as u64))
-                }
+                IoOp::Write { offset, data } => OpResult::Write(self.write_at(*offset, data)?),
             });
         }
         Ok(BatchResult::from_results(results))
@@ -298,6 +316,25 @@ impl StripeStore {
         }))
     }
 
+    /// The byte window of `block` that overlaps a write of `data` at
+    /// `offset`, as (slice of incoming data, start offset within the
+    /// block).
+    fn incoming_for_block<'d>(
+        &self,
+        block: usize,
+        offset: u64,
+        data: &'d [u8],
+    ) -> (&'d [u8], usize) {
+        let sym = self.block_size() as u64;
+        let block_start = block as u64 * sym;
+        let from = offset.max(block_start);
+        let to = (offset + data.len() as u64).min(block_start + sym);
+        (
+            &data[(from - offset) as usize..(to - offset) as usize],
+            (from - block_start) as usize,
+        )
+    }
+
     /// Bytes of `op` that fall inside the fragment's block range.
     fn fragment_bytes(&self, op: &IoOp, blocks: &Range<usize>) -> u64 {
         let sym = self.block_size() as u64;
@@ -410,7 +447,7 @@ mod tests {
     }
 
     #[test]
-    fn same_stripe_write_batch_pays_one_lock_and_one_parity_pass() {
+    fn same_stripe_batch_of_writes_pays_one_lock_and_one_parity_pass() {
         // The acceptance geometry: rs:5,16,1 has (5−1)·16 = 64 data
         // blocks per stripe, so 64 single-block writes tile stripe 0.
         let dir = tmpdir("onepass");
@@ -530,6 +567,32 @@ mod tests {
         let mut expected = base.clone();
         expected[..sym as usize].copy_from_slice(&pattern(sym as usize, 80));
         assert_eq!(store.read_at(0, expected.len()).unwrap(), expected);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unrecoverable_stripe_aborts_the_batch_before_anything_is_written() {
+        let (dir, store, base) = small_store("unrecoverable");
+        let sym = store.block_size() as u64;
+        let stripe_bytes = store.blocks_per_stripe() as u64 * sym;
+        // Wipe five of stripe 1's eight columns: far past m = 2 devices
+        // plus the e = (1, 1, 2) sector budget.
+        for dev in 0..5 {
+            store.corrupt_sectors(dev, 1, 0, 4).unwrap();
+        }
+        let mut batch = IoBatch::new();
+        batch
+            .write(0, pattern(sym as usize, 90))
+            .read(stripe_bytes, stripe_bytes as usize);
+        match store.submit(&batch) {
+            Err(Error::Unrecoverable { stripe, .. }) => assert_eq!(stripe, 1),
+            other => panic!("expected Unrecoverable, got {other:?}"),
+        }
+        // Stripe 0 was staged, never committed: it reads back as it was.
+        assert_eq!(
+            store.read_at(0, stripe_bytes as usize).unwrap(),
+            &base[..stripe_bytes as usize]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

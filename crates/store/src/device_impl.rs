@@ -6,7 +6,7 @@ use stair_device::{
     ScrubOutcome, ShardHealth, WriteOutcome,
 };
 
-use crate::{Error, RepairReport, ScrubReport, StoreStatus, StripeStore, WriteReport};
+use crate::{Error, RepairReport, ScrubReport, StoreStatus, StripeStore};
 
 impl From<Error> for DeviceError {
     fn from(e: Error) -> Self {
@@ -36,18 +36,6 @@ pub fn shard_health(status: &StoreStatus) -> ShardHealth {
         known_bad_sectors: status.known_bad_sectors,
         clean_shutdown: status.clean_shutdown,
         replayed_records: status.replayed_records,
-    }
-}
-
-/// Converts a store write report (which does not carry a byte count)
-/// into the unified outcome.
-pub fn write_outcome(report: &WriteReport, bytes: u64) -> WriteOutcome {
-    WriteOutcome {
-        bytes,
-        blocks_written: report.blocks_written as u64,
-        stripes_touched: report.stripes_touched as u64,
-        full_stripe_encodes: report.full_stripe_encodes as u64,
-        delta_updates: report.delta_updates as u64,
     }
 }
 
@@ -101,8 +89,7 @@ impl BlockDevice for StripeStore {
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, DeviceError> {
-        let report = StripeStore::write_at(self, offset, data)?;
-        Ok(write_outcome(&report, data.len() as u64))
+        Ok(StripeStore::write_at(self, offset, data)?)
     }
 
     fn submit(&self, batch: &IoBatch) -> Result<BatchResult, DeviceError> {

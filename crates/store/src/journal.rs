@@ -42,11 +42,10 @@
 //! header — no truncation, no metadata churn. Everything after the
 //! last checkpoint is therefore always still in the journal.
 //!
-//! A batch that commits several stripes at once uses the group-commit
-//! API ([`Journal::begin`] → [`CommitGuard::append`] per stripe →
-//! one [`CommitGuard::sync`]): every record of the batch shares a
-//! single fsync, amortizing the dominant per-commit cost across the
-//! whole submission.
+//! Every commit goes through the group-commit API ([`Journal::begin`]
+//! → [`CommitGuard::append`] per stripe → one [`CommitGuard::sync`]):
+//! every record of a batch shares a single fsync, amortizing the
+//! dominant per-commit cost across the whole submission.
 //!
 //! Knobs (read once per store open):
 //!
@@ -336,36 +335,6 @@ impl Journal {
         }
     }
 
-    /// Makes the intent of one stripe commit durable: appends a record
-    /// carrying the post-image of every cell in `cells` and fsyncs it —
-    /// all **before** the caller performs any in-place sector write.
-    /// Returns a guard the caller must hold until those writes are done
-    /// (`None` when journaling is disabled or the commit is empty).
-    /// Multi-stripe committers use [`Journal::begin`] instead and share
-    /// one fsync.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the append and checkpoint paths.
-    pub fn commit<'a>(
-        &'a self,
-        stripe: usize,
-        cells: &[(CellIdx, &[u8])],
-        encode: bool,
-        persist: impl Fn() -> Result<(), Error>,
-    ) -> Result<Option<CommitGuard<'a>>, Error> {
-        if cells.is_empty() {
-            return Ok(None);
-        }
-        let _span = stair_obs::trace::span(stair_obs::trace::names::JRNL_APPEND);
-        let Some(mut guard) = self.begin(&[cells.len()], persist)? else {
-            return Ok(None);
-        };
-        guard.append(stripe, cells, encode)?;
-        guard.sync()?;
-        Ok(Some(guard))
-    }
-
     /// Writes one record at the live end (no fsync — that is the
     /// guard's [`CommitGuard::sync`]) and stamps a terminator after
     /// it, so replay can never run past the last live record into
@@ -553,14 +522,29 @@ mod tests {
         owned.iter().map(|(c, d)| (*c, d.as_slice())).collect()
     }
 
+    /// One single-record commit the way the store makes them: begin,
+    /// append, fsync, then release the guard (no in-place writes to
+    /// cover here).
+    fn commit(
+        j: &Journal,
+        stripe: usize,
+        cells: &[(CellIdx, &[u8])],
+        encode: bool,
+        persist: impl Fn() -> Result<(), Error>,
+    ) {
+        let mut guard = j.begin(&[cells.len()], persist).unwrap().unwrap();
+        guard.append(stripe, cells, encode).unwrap();
+        guard.sync().unwrap();
+    }
+
     #[test]
     fn append_replay_round_trip() {
         let dir = tmpdir("rt");
         let j = Journal::open_or_create(&dir, 16, 1 << 20).unwrap();
         let a = cells(16, 1, 4);
         let b = cells(16, 9, 2);
-        drop(j.commit(3, &borrow(&a), false, || Ok(())).unwrap());
-        drop(j.commit(5, &borrow(&b), false, || Ok(())).unwrap());
+        commit(&j, 3, &borrow(&a), false, || Ok(()));
+        commit(&j, 5, &borrow(&b), false, || Ok(()));
         let mut seen = Vec::new();
         let n = j
             .replay(|rec| {
@@ -584,8 +568,8 @@ mod tests {
         let dir = tmpdir("torn");
         let j = Journal::open_or_create(&dir, 8, 1 << 20).unwrap();
         let a = cells(8, 2, 3);
-        drop(j.commit(1, &borrow(&a), false, || Ok(())).unwrap());
-        drop(j.commit(2, &borrow(&a), false, || Ok(())).unwrap());
+        commit(&j, 1, &borrow(&a), false, || Ok(()));
+        commit(&j, 2, &borrow(&a), false, || Ok(()));
         // Tear the second record: chop bytes off the live end (the
         // reopen preallocates the tail back to zeros, exactly what a
         // torn write leaves behind).
@@ -609,7 +593,7 @@ mod tests {
         let dir = tmpdir("corrupt");
         let j = Journal::open_or_create(&dir, 8, 1 << 20).unwrap();
         let a = cells(8, 3, 2);
-        drop(j.commit(0, &borrow(&a), false, || Ok(())).unwrap());
+        commit(&j, 0, &borrow(&a), false, || Ok(()));
         // Flip one payload byte: the checksum no longer matches.
         let live_end = j.used_bytes() as usize;
         drop(j);
@@ -634,11 +618,11 @@ mod tests {
             persists.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             Ok(())
         };
-        drop(j.commit(0, &borrow(&a), false, persist).unwrap());
+        commit(&j, 0, &borrow(&a), false, persist);
         assert_eq!(persists.load(std::sync::atomic::Ordering::Relaxed), 0);
         // Second commit overflows → checkpoint (persist ran, segment
         // truncated) → append succeeds.
-        drop(j.commit(1, &borrow(&a), false, persist).unwrap());
+        commit(&j, 1, &borrow(&a), false, persist);
         assert_eq!(persists.load(std::sync::atomic::Ordering::Relaxed), 1);
         let n = j.replay(|rec| {
             assert_eq!(rec.stripe, 1);
@@ -653,7 +637,7 @@ mod tests {
         let dir = tmpdir("oversized");
         let j = Journal::open_or_create(&dir, 64, 16).unwrap();
         let a = cells(64, 5, 4);
-        drop(j.commit(7, &borrow(&a), false, || Ok(())).unwrap());
+        commit(&j, 7, &borrow(&a), false, || Ok(()));
         assert_eq!(j.replay(|_| Ok(())).unwrap(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -663,7 +647,7 @@ mod tests {
         let dir = tmpdir("ckpt");
         let j = Journal::open_or_create(&dir, 8, 1 << 20).unwrap();
         let a = cells(8, 6, 2);
-        drop(j.commit(0, &borrow(&a), false, || Ok(())).unwrap());
+        commit(&j, 0, &borrow(&a), false, || Ok(()));
         assert!(j.used_bytes() > HEADER_LEN);
         j.checkpoint(|| Ok(())).unwrap();
         assert_eq!(j.used_bytes(), HEADER_LEN);
@@ -707,14 +691,14 @@ mod tests {
         let dir = tmpdir("stale");
         let j = Journal::open_or_create(&dir, 8, 1 << 20).unwrap();
         let a = cells(8, 1, 2);
-        drop(j.commit(0, &borrow(&a), false, || Ok(())).unwrap());
-        drop(j.commit(1, &borrow(&a), false, || Ok(())).unwrap());
+        commit(&j, 0, &borrow(&a), false, || Ok(()));
+        commit(&j, 1, &borrow(&a), false, || Ok(()));
         j.checkpoint(|| Ok(())).unwrap();
         // Only the stamp separates the now-stale records from replay.
         assert_eq!(j.replay(|_| Ok(())).unwrap(), 0);
         // A fresh record overwrites the first stale one; replay must
         // stop at its terminator, not run on into stale record two.
-        drop(j.commit(7, &borrow(&a), false, || Ok(())).unwrap());
+        commit(&j, 7, &borrow(&a), false, || Ok(()));
         let mut stripes = Vec::new();
         let n = j
             .replay(|rec| {
@@ -733,8 +717,8 @@ mod tests {
         let j = Journal::open_or_create(&dir, 16, 1 << 20).unwrap();
         let a = cells(16, 2, 3);
         let b = cells(16, 5, 2);
-        drop(j.commit(1, &borrow(&a), true, || Ok(())).unwrap());
-        drop(j.commit(2, &borrow(&b), false, || Ok(())).unwrap());
+        commit(&j, 1, &borrow(&a), true, || Ok(()));
+        commit(&j, 2, &borrow(&b), false, || Ok(()));
         let mut kinds = Vec::new();
         let n = j
             .replay(|rec| {

@@ -13,9 +13,10 @@
 //! * a flat logical **block space** (one block = one data sector) mapped
 //!   onto stripes laid out across `n` per-device backing files
 //!   ([`BlockMap`]);
-//! * a **write path** that batches dirty blocks per stripe — full-stripe
-//!   writes re-encode in one pass, small writes take the parity-delta
-//!   update path ([`StripeStore::write_at`]);
+//! * **one data path** for every read and write: a scatter-gather batch
+//!   grouped per stripe ([`StripeStore::submit`]; `read_at`/`write_at`
+//!   are one-op batches) — full-stripe writes re-encode in one pass,
+//!   small writes take the parity-delta update path;
 //! * a **read path** that serves **degraded reads** transparently when
 //!   devices or sectors are lost, using the decode planner to reconstruct
 //!   only what the request needs ([`StripeStore::read_at`]);
@@ -76,7 +77,7 @@ mod scrub;
 mod store;
 
 pub use codec::build_codec;
-pub use device_impl::{gf_metrics, repair_outcome, scrub_outcome, shard_health, write_outcome};
+pub use device_impl::{gf_metrics, repair_outcome, scrub_outcome, shard_health};
 pub use error::Error;
 pub use inject::InjectionOutcome;
 pub use integrity::{BadSector, DeviceState, Health};
@@ -85,4 +86,4 @@ pub use layout::{BlockLocation, BlockMap};
 pub use meta::StoreMeta;
 pub use repair::RepairReport;
 pub use scrub::ScrubReport;
-pub use store::{StoreOptions, StoreStatus, StripeStore, WriteReport};
+pub use store::{StoreOptions, StoreStatus, StripeStore};

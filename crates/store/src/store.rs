@@ -4,13 +4,16 @@
 //!
 //! # Data path design
 //!
-//! * **Writes** are batched per stripe. A write covering *every* data
-//!   block of a stripe never reads old state: the stripe is rebuilt in
-//!   memory and fully re-encoded (one sequential pass). A partial write
-//!   loads the stripe, overwrites the dirty data sectors, and patches only
-//!   the dependent parity sectors via the codec's parity-delta update
-//!   ([`stair_code::ErasureCode::update`]) — the §6.3 update-penalty path,
-//!   now measurable per codec.
+//! * **Every read and write is a batch.** [`StripeStore::submit`]
+//!   (`batch.rs`) is the one data path; `read_at`/`write_at` walk their
+//!   span stripe by stripe and submit each stripe's piece as a one-op
+//!   batch. A write covering *every* data block of a stripe never reads
+//!   old state: the stripe is rebuilt in memory and fully re-encoded
+//!   (one sequential pass). A partial write loads the stripe, overwrites
+//!   the dirty data sectors, and patches only the dependent parity
+//!   sectors via the codec's parity-delta update
+//!   ([`stair_code::ErasureCode::update`]) — the §6.3 update-penalty
+//!   path, measurable per codec.
 //! * **Reads** verify every sector against the Fletcher-32 table. A clean
 //!   stripe is served straight from the data sectors. Any missing file,
 //!   short read, or checksum mismatch switches the stripe to a **degraded
@@ -29,6 +32,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use stair_code::{CellIdx, CodeError, CodecSpec, ErasureCode, ErasureSet, Geometry, StripeBuf};
+use stair_device::{IoBatch, IoOp, OpResult, WriteOutcome};
 use stair_obs::{Counter, Gauge, MetricsRegistry};
 
 use crate::codec::build_codec;
@@ -65,24 +69,6 @@ impl Default for StoreOptions {
             stripes: 64,
         }
     }
-}
-
-/// Statistics returned by [`StripeStore::write_at`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WriteReport {
-    /// Logical blocks written.
-    pub blocks_written: usize,
-    /// Stripes the write touched.
-    pub stripes_touched: usize,
-    /// Stripes served by the full-re-encode path.
-    pub full_stripe_encodes: usize,
-    /// Individual parity-delta sector updates performed.
-    pub delta_updates: usize,
-    /// Parity sectors patched by delta updates.
-    pub parity_sectors_patched: usize,
-    /// Previously-damaged sectors opportunistically rewritten with
-    /// reconstructed contents.
-    pub sectors_healed: usize,
 }
 
 /// A point-in-time summary of the store's health and geometry.
@@ -611,6 +597,8 @@ impl StripeStore {
 
     /// Reads `len` bytes starting at logical byte `offset`, transparently
     /// reconstructing sectors lost to failed devices or latent damage.
+    /// Each stripe's piece of the span is a one-op batch, so a call
+    /// holds one stripe lock at a time.
     ///
     /// # Errors
     ///
@@ -618,17 +606,37 @@ impl StripeStore {
     /// * [`Error::Unrecoverable`] if a needed stripe carries more damage
     ///   than the codec's coverage.
     pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, Error> {
-        let span = self.shared.blocks.block_span(offset, len)?;
-        let mut out = vec![0u8; len];
-        let per = self.blocks_per_stripe();
-        let mut block = span.start;
-        while block < span.end {
-            let stripe = block / per;
-            let stripe_end = ((stripe + 1) * per).min(span.end);
-            self.read_stripe_blocks(stripe, block..stripe_end, offset, &mut out)?;
-            block = stripe_end;
+        let mut out = Vec::new();
+        for (at, piece) in self.stripe_pieces(offset, len)? {
+            let read = IoBatch::from(vec![IoOp::Read {
+                offset: at,
+                len: piece,
+            }]);
+            for result in self.submit(&read)?.results {
+                match result {
+                    OpResult::Read(data) if out.is_empty() => out = data,
+                    OpResult::Read(data) => out.extend_from_slice(&data),
+                    OpResult::Write(_) => {}
+                }
+            }
         }
         Ok(out)
+    }
+
+    /// Splits `[offset, offset + len)` at stripe boundaries into
+    /// `(offset, len)` pieces, validating the span first.
+    fn stripe_pieces(&self, offset: u64, len: usize) -> Result<Vec<(u64, usize)>, Error> {
+        self.shared.blocks.block_span(offset, len)?;
+        let stripe_bytes = (self.blocks_per_stripe() * self.block_size()) as u64;
+        let end = offset + len as u64;
+        let mut pieces = Vec::new();
+        let mut at = offset;
+        while at < end {
+            let next = ((at / stripe_bytes + 1) * stripe_bytes).min(end);
+            pieces.push((at, (next - at) as usize));
+            at = next;
+        }
+        Ok(pieces)
     }
 
     /// Copies the overlap of `block` with the request window into `out`.
@@ -642,20 +650,10 @@ impl StripeStore {
         out[(from - offset) as usize..(to - offset) as usize].copy_from_slice(src);
     }
 
-    fn read_stripe_blocks(
-        &self,
-        stripe_idx: usize,
-        blocks: std::ops::Range<usize>,
-        offset: u64,
-        out: &mut [u8],
-    ) -> Result<(), Error> {
-        let _guard = self.lock_stripe(stripe_idx);
-        self.read_stripe_blocks_locked(stripe_idx, blocks, offset, out)
-    }
-
-    /// [`read_stripe_blocks`](Self::read_stripe_blocks) minus the lock
-    /// acquisition — the batched submit path holds each stripe lock
-    /// once across many ops and calls this per read fragment.
+    /// Serves `blocks` of one stripe into `out` (the window of a read
+    /// op starting at `offset`): the verified fast path when every
+    /// wanted sector reads back clean, else a degraded read that
+    /// reconstructs exactly the wanted cells.
     ///
     /// Callers must hold the stripe lock.
     pub(crate) fn read_stripe_blocks_locked(
@@ -805,164 +803,28 @@ impl StripeStore {
     // Write path
     // ------------------------------------------------------------------
 
-    /// Writes `data` at logical byte `offset`. Partial blocks are merged
-    /// read-modify-write; dirty blocks are batched per stripe and each
-    /// stripe takes either the full-re-encode or the parity-delta path.
+    /// Writes `data` at logical byte `offset`. Each stripe's piece of
+    /// the span is a one-op batch: partial blocks are merged
+    /// read-modify-write, and each stripe takes either the
+    /// full-re-encode or the parity-delta path, journaled before it is
+    /// written in place.
     ///
     /// # Errors
     ///
     /// * [`Error::OutOfRange`] if the span exceeds capacity;
     /// * [`Error::Unrecoverable`] when writing through a stripe whose
     ///   existing damage exceeds coverage.
-    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteReport, Error> {
-        let span = self.shared.blocks.block_span(offset, data.len())?;
-        let mut report = WriteReport::default();
-        if data.is_empty() {
-            return Ok(report);
+    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<WriteOutcome, Error> {
+        let mut total = WriteOutcome::default();
+        for (at, piece) in self.stripe_pieces(offset, data.len())? {
+            let from = (at - offset) as usize;
+            let write = IoBatch::from(vec![IoOp::Write {
+                offset: at,
+                data: data[from..from + piece].to_vec(),
+            }]);
+            total.absorb(&self.submit(&write)?.write);
         }
-        let per = self.blocks_per_stripe();
-        let mut block = span.start;
-        while block < span.end {
-            let stripe = block / per;
-            let stripe_end = ((stripe + 1) * per).min(span.end);
-            self.write_stripe_blocks(stripe, block..stripe_end, offset, data, &mut report)?;
-            block = stripe_end;
-        }
-        self.shared.integrity.persist()?;
-        Ok(report)
-    }
-
-    /// The byte window of `block` that overlaps the write request, as
-    /// (slice of incoming data, start offset within the block).
-    pub(crate) fn incoming_for_block<'d>(
-        &self,
-        block: usize,
-        offset: u64,
-        data: &'d [u8],
-    ) -> (&'d [u8], usize) {
-        let sym = self.block_size() as u64;
-        let block_start = block as u64 * sym;
-        let req_end = offset + data.len() as u64;
-        let from = offset.max(block_start);
-        let to = req_end.min(block_start + sym);
-        (
-            &data[(from - offset) as usize..(to - offset) as usize],
-            (from - block_start) as usize,
-        )
-    }
-
-    fn write_stripe_blocks(
-        &self,
-        stripe_idx: usize,
-        blocks: std::ops::Range<usize>,
-        offset: u64,
-        data: &[u8],
-        report: &mut WriteReport,
-    ) -> Result<(), Error> {
-        let sh = &self.shared;
-        let per = self.blocks_per_stripe();
-        let sym = self.block_size();
-        let _guard = self.lock_stripe(stripe_idx);
-        report.stripes_touched += 1;
-        report.blocks_written += blocks.len();
-
-        let full_cover = blocks.len() == per
-            && offset <= (blocks.start as u64) * sym as u64
-            && offset + data.len() as u64 >= (blocks.end as u64) * sym as u64;
-
-        if full_cover {
-            // Full-stripe write: no old state needed, one re-encode.
-            let geom = &sh.geometry;
-            let mut stripe = StripeBuf::new(geom.r, geom.n, sym)?;
-            let start = (blocks.start as u64 * sym as u64 - offset) as usize;
-            stripe.write_cells(&geom.data_cells, &data[start..start + per * sym])?;
-            sh.codec.encode(&mut stripe)?;
-            sh.encode_passes.inc();
-            self.write_back_cells(stripe_idx, &stripe, None)?;
-            report.full_stripe_encodes += 1;
-            return Ok(());
-        }
-
-        // Partial write: load (and if degraded, first restore) the stripe.
-        let (mut stripe, erased) = self.load_stripe_restored(stripe_idx)?;
-        let mut touched: std::collections::BTreeSet<CellIdx> = std::collections::BTreeSet::new();
-        for block in blocks {
-            let loc = sh.blocks.locate(block)?;
-            let (incoming, at) = self.incoming_for_block(block, offset, data);
-            let mut contents = stripe.cell(loc.cell).to_vec();
-            contents[at..at + incoming.len()].copy_from_slice(incoming);
-            let patched = sh.codec.update(&mut stripe, loc.cell, &contents)?;
-            sh.delta_update_calls.inc();
-            report.delta_updates += 1;
-            report.parity_sectors_patched += patched.len();
-            touched.insert(loc.cell);
-            touched.extend(patched);
-        }
-        // Previously-erased cells were reconstructed above; rewriting them
-        // heals latent damage on writable devices for free.
-        touched.extend(erased.iter());
-        let written = self.write_back_cells(stripe_idx, &stripe, Some(&touched))?;
-        report.sectors_healed += erased.iter().filter(|c| written.contains(c)).count();
-        Ok(())
-    }
-
-    /// Writes stripe cells to disk and records their checksums, returning
-    /// the cells actually written. `only` restricts to a subset (None =
-    /// every cell). Only `Failed` devices are skipped (their contents live
-    /// on implicitly through parity); `Rebuilding` replacements *must* be
-    /// written, otherwise a write landing on a stripe the repair pass has
-    /// already rebuilt would be lost when the device is promoted back to
-    /// healthy. Rewritten cells are removed from the bad-sector map.
-    ///
-    /// This is the journaled commit path: the post-image of every cell
-    /// about to be written is appended (and by default fsync'd) to the
-    /// write-ahead journal **before** the first in-place sector write,
-    /// and the commit guard is held until the last one — so a crash at
-    /// any instant leaves either an un-started commit (old stripe
-    /// intact) or a replayable record. Every other in-place stripe
-    /// write in this crate must route through here (enforced by the
-    /// `persist-ordering` lint).
-    pub(crate) fn write_back_cells(
-        &self,
-        stripe_idx: usize,
-        stripe: &StripeBuf,
-        only: Option<&std::collections::BTreeSet<CellIdx>>,
-    ) -> Result<std::collections::BTreeSet<CellIdx>, Error> {
-        let sh = &self.shared;
-        let targets = self.write_back_targets(stripe, only);
-        let (record, encode) = self.journal_cells(stripe, only);
-        // Journal-first: intent durable before any in-place mutation.
-        let _commit = sh.journal.commit(stripe_idx, &record, encode, || {
-            sh.devices.sync()?;
-            sh.integrity.persist()
-        })?;
-        self.apply_write_back(stripe_idx, &targets)
-    }
-
-    /// The journal payload of one stripe commit. A partial commit
-    /// journals its exact write-back targets as literal post-images. A
-    /// full-stripe commit (`only == None`) journals a **data image** —
-    /// only the data cells, parity recomputed at replay — cutting the
-    /// record to `k/n` of the stripe and with it the bytes the commit
-    /// fsync has to flush. Data cells on `Failed` devices are included
-    /// (the in-memory stripe knows their contents even when no disk
-    /// does), so replay re-encodes from a complete image.
-    pub(crate) fn journal_cells<'s>(
-        &self,
-        stripe: &'s StripeBuf,
-        only: Option<&std::collections::BTreeSet<CellIdx>>,
-    ) -> (Vec<(CellIdx, &'s [u8])>, bool) {
-        if only.is_some() {
-            return (self.write_back_targets(stripe, only), false);
-        }
-        let cells = self
-            .shared
-            .geometry
-            .data_cells
-            .iter()
-            .map(|&cell| (cell, stripe.cell(cell)))
-            .collect();
-        (cells, true)
+        Ok(total)
     }
 
     /// The cells one stripe commit will persist: every non-`Failed`
@@ -995,8 +857,14 @@ impl StripeStore {
 
     /// The in-place leg of a commit: raw sector writes plus checksum
     /// recording, after the journal record covering `targets` is
-    /// durable. Callers arrive here only through [`Self::write_back_cells`]
-    /// or the batch group commit (both journal-first).
+    /// durable. Only `Failed` devices are skipped by the targets (their
+    /// contents live on implicitly through parity); `Rebuilding`
+    /// replacements *must* be written, otherwise a write landing on a
+    /// stripe the repair pass has already rebuilt would be lost when
+    /// the device is promoted back to healthy. Rewritten cells are
+    /// removed from the bad-sector map. Callers are the batch group
+    /// commit (journal-first) and journal replay (already durable);
+    /// the `persist-ordering` lint keeps it that way.
     pub(crate) fn apply_write_back(
         &self,
         stripe_idx: usize,
@@ -1106,13 +974,24 @@ mod tests {
         let report = store.write_at(30, &patch).unwrap();
         assert_eq!(report.full_stripe_encodes, 0);
         assert!(report.delta_updates >= 2);
-        assert!(report.parity_sectors_patched > 0);
+        assert_eq!(report.bytes, 100);
         let mut expected = base.clone();
         expected[30..130].copy_from_slice(&patch);
         assert_eq!(store.read_at(0, expected.len()).unwrap(), expected);
         // Reopen: changes survived.
         drop(store);
         let store = StripeStore::open(&dir).unwrap();
+        assert_eq!(store.read_at(0, expected.len()).unwrap(), expected);
+        // Lose m = 2 devices holding patched data blocks: the read must
+        // rebuild them from parity, which proves the delta path
+        // patched the parity too.
+        let lost: Vec<usize> = (0..2)
+            .map(|b| store.shared.blocks.locate(b).unwrap().cell.1)
+            .collect();
+        assert_ne!(lost[0], lost[1], "blocks 0 and 1 share a device");
+        for dev in lost {
+            store.fail_device(dev).unwrap();
+        }
         assert_eq!(store.read_at(0, expected.len()).unwrap(), expected);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1199,7 +1078,7 @@ mod tests {
         for off in [0, 77, store.capacity()] {
             assert_eq!(store.read_at(off, 0).unwrap(), Vec::<u8>::new());
             let report = store.write_at(off, &[]).unwrap();
-            assert_eq!(report, WriteReport::default());
+            assert_eq!(report, WriteOutcome::default());
         }
         // One byte past capacity is out of range even for len 1.
         assert!(store.read_at(store.capacity(), 1).is_err());
